@@ -1,14 +1,25 @@
-"""Vectorized (numpy) backends behind the pure-python hot loops.
+"""Vectorized (numpy) backends behind three pure-python hot loops.
 
-The scheduling pipeline's inner loops -- descendant-bitset reachability
-(:mod:`repro.barriers.dag`), k-longest-path relaxation
-(:mod:`repro.barriers.paths`), dominator/Euler recompute
-(:mod:`repro.barriers.dominators`), the ``merge_all_overlapping``
-verdict scan (:mod:`repro.core.merging`), and the per-PE
-earliest-start scan of list scheduling (:mod:`repro.core.assignment`)
--- each have a numpy kernel sitting *behind* the canonical pure-python
-implementation.  The python code stays the specification; a kernel is
-only ever an accelerator that must produce bit-identical results.
+Only loops whose size grows with the machine or the corpus have a numpy
+kernel sitting *behind* the canonical pure-python implementation:
+
+``assign``
+    the per-PE earliest-start scan of list scheduling
+    (:mod:`repro.core.assignment`, kernel :mod:`repro.kernels.assignvec`),
+    sized by PEs;
+``genvec``
+    the corpus generator (:mod:`repro.synth.genvec`), sized by cases
+    per batch;
+``batch``
+    the lockstep labelling, reachability and merge-verdict sweeps of
+    :mod:`repro.core.batchrun` (kernel :mod:`repro.kernels.batch`),
+    sized by cases per batch.
+
+The barrier-graph analyses (reachability, longest paths, dominators,
+the merge sweep) have a single python implementation: even a 1024-PE
+schedule has only a dozen or so barriers.  The python code stays the
+specification; a kernel is only ever an accelerator that must produce
+bit-identical results.
 
 Backend selection (``REPRO_BACKEND``):
 
@@ -68,17 +79,10 @@ __all__ = [
 
 VALID_BACKENDS = ("python", "numpy", "auto")
 
-#: ``auto`` engages a kernel when its size measure (barriers in the dag
-#: for the graph kernels, schedule barriers for ``merge``, PEs for
-#: ``assign``) reaches the threshold.  Calibrated so the default 8-PE /
-#: 10-30-statement corpora stay pure python while 1024-PE and
-#: paper-scale runs vectorize.
+#: ``auto`` engages a kernel when its size measure (PEs for ``assign``)
+#: reaches the threshold.  Calibrated so the default 8-PE corpora stay
+#: pure python while 1024-PE runs vectorize.
 THRESHOLDS: dict[str, int] = {
-    "descbits": 128,
-    "splice": 128,
-    "paths": 128,
-    "domin": 192,
-    "merge": 48,
     "assign": 64,
     # Batched corpus kernels: sizes are *cases per batch*, not nodes.
     # The vectorized generator wins from ~8 cases up (the flat-gather
@@ -207,7 +211,7 @@ _NOOP_TIMER = _NoopTimer()
 def timed(kernel: str, backend: str) -> "_KernelTimer | _NoopTimer":
     """Count one dispatch decision and time the block it guards.
 
-    ``with kernels.timed("paths", "numpy"): ...`` is :func:`count` plus
+    ``with kernels.timed("assign", "numpy"): ...`` is :func:`count` plus
     -- when a :func:`repro.obs.prof.collect_profile` subscriber is
     active -- a wall/CPU timing observation under the key
     ``<kernel>.<backend>``.  Without a profiler the returned context

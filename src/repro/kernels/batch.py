@@ -1,10 +1,10 @@
 """Corpus-batched kernels: one numpy dispatch per chunk, not per case.
 
-The per-schedule kernels (:mod:`repro.kernels.bitset`,
-:mod:`repro.kernels.pathvec`, :mod:`repro.kernels.mergemat`) each pay
-numpy dispatch overhead on a single small matrix.  At corpus scale the
-same work repeats across 100 independent cases, so these kernels take a
-whole *chunk* of cases at once: the per-case bit-matrices are packed
+A single schedule's barrier graph is far too small to repay numpy
+dispatch overhead, so the per-schedule analyses stay pure python.  At
+corpus scale the same work repeats across 100 independent cases, so
+these kernels take a whole *chunk* of cases at once: the per-case
+bit-matrices are packed
 into one padded 3-D uint64 tensor with a size map, the sweep runs in
 lockstep across the case axis, and the results unpack exactly per case
 -- the batched driver (:mod:`repro.core.batchrun`) is bit-identical to
@@ -19,12 +19,13 @@ steps regardless of per-case size.
 Three batched kernels:
 
 * :func:`reach_batch` -- descendant-bitset reachability closure over
-  many graphs (the batched twin of ``bitset.descendant_bits``, general
-  enough to also sweep the happens-before graph H);
+  many graphs (the reverse-topological sweep of
+  ``BarrierDag._descendant_bits``, general enough to also sweep the
+  happens-before graph H);
 * :func:`heights_batch` -- the min/max-height longest-path relaxation
   of :func:`repro.core.labeling.compute_heights` over many DAGs;
 * :func:`first_candidates` -- one merge-verdict round
-  (``mergemat.first_candidate``) for many schedules.
+  (``repro.core.merging._first_candidate_python``) for many schedules.
 
 Plus the padded-tensor boundary helpers :func:`pack_bitmats` /
 :func:`unpack_bitmats` shared by the kernels and the shared-memory
@@ -107,7 +108,7 @@ def reach_batch(
     ``0..n_c-1``: ``desc[i] = OR over direct successors s of
     (desc[s] | self_bits[s])`` -- one reverse sweep, all cases in
     lockstep.  With ``self_bits[i] = 1 << i`` this is exactly
-    ``bitset.descendant_bits`` per case; the happens-before sweep of
+    ``BarrierDag._descendant_bits`` per case; the happens-before sweep of
     :meth:`repro.core.schedule.Schedule.hb_barrier_descendants` uses
     barrier-indexed self bits (zero for instruction nodes) instead.
 
@@ -222,9 +223,10 @@ def first_candidates(
 ) -> list[tuple[int, int] | None]:
     """One merge-verdict round for many schedules at once.
 
-    Each element of ``rounds`` is the ``(ids, lo, hi, desc)`` input of
-    :func:`repro.kernels.mergemat.first_candidate` for one schedule;
-    the round's orderedness and overlap tests run as one ``(C, n, n)``
+    Each element of ``rounds`` is one schedule's ``(ids, lo, hi, desc)``:
+    id-sorted barrier ids, their fire-window bounds, and
+    :meth:`~repro.core.schedule.Schedule.hb_barrier_descendants`.  The
+    round's orderedness and overlap tests run as one ``(C, n, n)``
     boolean tensor and each case's first candidate pair (row-major in
     the id-sorted upper triangle, exactly the python scan's order) is
     read off with a single ``argmax`` row.  Returns one

@@ -6,7 +6,7 @@ memory*.  A :class:`Profiler` accumulates four resource families:
 
 * **kernel timings** -- per ``<kernel>.<backend>`` wall/CPU summaries,
   recorded at the :func:`repro.kernels.timed` dispatch boundary, so a
-  perf report can say "``paths.python`` cost 4.1s over 120k calls" and
+  perf report can say "``assign.python`` cost 4.1s over 120k calls" and
   the compiled-extension roadmap item has data to pick targets;
 * **memory** -- peak RSS (:func:`rss_bytes`, from ``ru_maxrss``),
   per-stage RSS growth sampled by :func:`repro.perf.timers.stage`, and

@@ -9,7 +9,8 @@ accelerators that must be bit-identical.  These tests pin
   ``REPRO_CHECK_KERNELS=1`` forcing every kernel on (so small corpora
   actually exercise them) and with ``REPRO_CHECK_INCREMENTAL=1``
   layered on top;
-* the bit-matrix pack/unpack round trip at word boundaries.
+* that every kernel in :data:`repro.kernels.THRESHOLDS` engages on a
+  workload it was built for, without check mode.
 """
 
 from __future__ import annotations
@@ -114,9 +115,9 @@ class TestDispatchPolicy:
 
     def test_verify_counts_and_raises_on_mismatch(self):
         with collect_metrics() as metrics:
-            kernels.verify("merge", [1, 2], [1, 2])
+            kernels.verify("batch", [1, 2], [1, 2])
             with pytest.raises(AssertionError, match="cross-check"):
-                kernels.verify("merge", [1, 2], [1, 3])
+                kernels.verify("batch", [1, 2], [1, 3])
         counters = metrics.as_dict()["counters"]
         assert counters["kernels.check.checked"] == 2
         assert counters["kernels.check.mismatches"] == 1
@@ -154,31 +155,19 @@ class TestDigestParity:
         )
 
     def test_natural_threshold_crossing_matches_python(self, monkeypatch):
-        # 128 PEs crosses the assign threshold without check mode: the
+        # 128 PEs crosses the assign threshold and 16 cases cross the
+        # genvec and batch thresholds, all without check mode: no
+        # accelerator may outlive the workload it was built for, and the
         # vectorized step-[2] scan must draw identical tie-break choices.
         pytest.importorskip("numpy")
         monkeypatch.delenv("REPRO_CHECK_KERNELS", raising=False)
+        monkeypatch.delenv("REPRO_BATCH", raising=False)
         monkeypatch.setenv("REPRO_BACKEND", "python")
-        baseline = corpus_digest(n_pes=128, n_statements=40, count=4)
+        baseline = corpus_digest(n_pes=128, n_statements=40, count=16)
         monkeypatch.setenv("REPRO_BACKEND", "numpy")
         kernels.reset_calls()
-        assert corpus_digest(n_pes=128, n_statements=40, count=4) == baseline
+        assert corpus_digest(n_pes=128, n_statements=40, count=16) == baseline
         calls = kernels.kernels_info()["calls"]
-        assert calls.get("kernels.calls.assign.numpy", 0) > 0
+        for kernel in kernels.THRESHOLDS:
+            assert calls.get(f"kernels.calls.{kernel}.numpy", 0) > 0, kernel
 
-
-class TestBitsetPacking:
-    """Word-boundary round trips of the uint64 bit-matrix layout."""
-
-    @pytest.mark.parametrize("n_bits", [1, 63, 64, 65, 127, 128, 1024])
-    def test_pack_unpack_round_trip(self, n_bits):
-        pytest.importorskip("numpy")
-        from repro.kernels.bitset import pack_rows, unpack_rows
-
-        rows = [
-            0,
-            (1 << n_bits) - 1,
-            1 << (n_bits - 1),
-            sum(1 << b for b in range(0, n_bits, 7)),
-        ]
-        assert unpack_rows(pack_rows(rows, n_bits)) == rows
