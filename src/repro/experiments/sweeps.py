@@ -13,21 +13,21 @@ Two performance controls ride on every entry point (see
 ``jobs``
     Worker-process count for the corpus (``None`` consults the
     ``REPRO_JOBS`` environment variable, ``0`` means all cores).  The
-    parallel path is *bit-identical* to serial -- per-case seeds are
-    derived exactly as in the serial loop -- and falls back to serial
-    when ``jobs <= 1``, the platform lacks ``fork``, or the ``accept``
-    filter cannot cross process boundaries.
+    parallel path is *bit-identical* to serial -- the parent draws
+    exactly the serial case seeds and both pool drivers return results
+    in seed order -- and falls back to serial when ``jobs <= 1`` or the
+    platform lacks ``fork``.
 ``cache``
     On-disk memoization of :func:`run_point` results, keyed by the full
     point content and package version (``None`` consults ``REPRO_CACHE``;
-    default off).  Filtered points (``accept`` given) are never cached.
+    default off).
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from repro.core import batchrun
 from repro.core.scheduler import ScheduleResult, SchedulerConfig, schedule_dag
@@ -40,7 +40,7 @@ from repro.perf.parallel import resolve_batch, resolve_jobs, run_cases_parallel
 from repro.perf.shm import run_cases_shm
 from repro.perf.timers import add_to_current, collect_timings, stage
 from repro.synth import genvec
-from repro.synth.corpus import BenchmarkCase, generate_cases
+from repro.synth.corpus import generate_cases
 from repro.synth.generator import GeneratorConfig
 
 __all__ = ["ExperimentPoint", "run_corpus", "run_point", "sweep"]
@@ -65,7 +65,6 @@ class ExperimentPoint:
 
 def run_corpus(
     point: ExperimentPoint,
-    accept: Callable[[BenchmarkCase], bool] | None = None,
     jobs: int | None = None,
     batch: int | None = None,
     compact: bool = False,
@@ -78,15 +77,13 @@ def run_corpus(
     pool; the result list is bit-identical to the serial run.
 
     The serial path runs the corpus in *batches* (``None`` consults
-    ``REPRO_BATCH``; ``1`` disables): each chunk of attempt seeds is
+    ``REPRO_BATCH``; ``1`` disables): each chunk of case seeds is
     compiled by the vectorized generator and scheduled by the batched
     driver (:mod:`repro.core.batchrun`) in one pass, bit-identical to
-    the case-at-a-time loop.  Filtered corpora apply ``accept``
-    positionally per chunk, exactly like the process pool: the accepted
-    prefix matches serial, only unused trailing attempts may differ.
+    the case-at-a-time loop.
 
     ``compact=True`` allows the zero-copy shared-memory driver
-    (:mod:`repro.perf.shm`) for unfiltered parallel points: results
+    (:mod:`repro.perf.shm`) for parallel points: results
     come back as :class:`~repro.perf.parallel.CompactResult` rows that
     support aggregation and digests but carry no ``Schedule`` graph.
     Callers that read ``result.schedule`` or ``result.resolutions``
@@ -94,7 +91,7 @@ def run_corpus(
     """
     jobs = resolve_jobs(jobs)
     if jobs > 1:
-        if compact and accept is None:
+        if compact:
             zero_copy = run_cases_shm(
                 point.generator,
                 point.count,
@@ -111,7 +108,6 @@ def run_corpus(
             point.master_seed,
             point.timing,
             point.scheduler,
-            accept,
             jobs,
         )
         if parallel is not None:
@@ -119,7 +115,7 @@ def run_corpus(
 
     batch = resolve_batch(batch)
     if batch > 1:
-        return _run_corpus_batched(point, accept, batch)
+        return _run_corpus_batched(point, batch)
 
     results: list[ScheduleResult] = []
     cases = generate_cases(
@@ -127,7 +123,6 @@ def run_corpus(
         point.count,
         point.master_seed,
         timing=point.timing,
-        accept=accept,
     )
     with batched_gc():
         while True:
@@ -143,14 +138,11 @@ def run_corpus(
 
 
 def _run_corpus_batched(
-    point: ExperimentPoint,
-    accept: Callable[[BenchmarkCase], bool] | None,
-    batch: int,
-    max_attempts_factor: int = 50,
+    point: ExperimentPoint, batch: int
 ) -> list[ScheduleResult]:
-    """The serial corpus loop, ``batch`` attempt seeds at a time.
+    """The serial corpus loop, ``batch`` case seeds at a time.
 
-    Draws the exact attempt-seed sequence of
+    Draws the exact case-seed sequence of
     :func:`repro.synth.corpus.generate_cases` in chunks, compiles each
     chunk through :func:`repro.synth.genvec.compile_cases` and schedules
     it through :func:`repro.core.batchrun.schedule_cases` -- both of
@@ -158,28 +150,15 @@ def _run_corpus_batched(
     thresholds, so the results are bit-identical either way.
     """
     results: list[ScheduleResult] = []
-    produced = 0
-    attempts = 0
-    limit = max(1, point.count) * max_attempts_factor
     seed_stream = random.Random(point.master_seed)
     with batched_gc():
-        while produced < point.count:
-            if attempts >= limit:
-                raise RuntimeError(
-                    f"corpus filter accepted only {produced}/{point.count} "
-                    f"cases after {attempts} attempts"
-                )
-            chunk = min(batch, limit - attempts)
-            seeds = [seed_stream.getrandbits(48) for _ in range(chunk)]
-            attempts += chunk
+        while len(results) < point.count:
+            seeds = [seed_stream.getrandbits(48) for _ in range(batch)]
             with stage("generate"):
                 cases = genvec.compile_cases(
                     point.generator, seeds, point.timing
                 )
-                if accept is not None:
-                    cases = [case for case in cases if accept(case)]
-            cases = cases[: point.count - produced]
-            produced += len(cases)
+            cases = cases[: point.count - len(results)]
             configs = [
                 point.scheduler.with_(seed=case.seed & 0xFFFFFFFF)
                 for case in cases
@@ -196,7 +175,6 @@ def _run_corpus_batched(
 
 def run_point(
     point: ExperimentPoint,
-    accept: Callable[[BenchmarkCase], bool] | None = None,
     jobs: int | None = None,
     cache: bool | None = None,
 ) -> CorpusStats:
@@ -204,20 +182,17 @@ def run_point(
 
     The reduction carries the run's per-stage timings
     (:attr:`CorpusStats.timings`).  With caching enabled, a previously
-    computed point is served from disk (accept-filtered points are
-    always recomputed -- a callable has no stable cache key).
+    computed point is served from disk.
     """
-    use_cache = accept is None and resolve_cache(cache)
+    use_cache = resolve_cache(cache)
     if use_cache:
         cached = load_point_stats(point)
         if cached is not None:
             return cached
     with collect_timings() as timings:
         # Aggregation reads nothing a compact result lacks, so the
-        # zero-copy driver may serve parallel unfiltered points.
-        stats = aggregate_results(
-            run_corpus(point, accept, jobs=jobs, compact=True)
-        )
+        # zero-copy driver may serve parallel points.
+        stats = aggregate_results(run_corpus(point, jobs=jobs, compact=True))
     # Collectors nest innermost-wins, so an enclosing measurement (e.g.
     # the ``repro-sbm perf`` harness timing a whole sweep) would see none
     # of this point's stage time -- credit it upward explicitly.

@@ -12,9 +12,7 @@ table, corpus size, master seed) plus the package version, and
 
 Invalidation is purely by key: change any input or bump
 ``repro.__version__`` and the old entries are simply never looked up
-again (delete the cache directory to reclaim the space).  Points with an
-``accept`` filter are *never* cached -- a callable has no stable content
-hash.
+again (delete the cache directory to reclaim the space).
 
 Layout: one JSON file per point under :func:`cache_dir` (default
 ``~/.cache/repro-sbm/sweeps``, override with ``REPRO_CACHE_DIR``).

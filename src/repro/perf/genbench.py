@@ -43,7 +43,7 @@ from repro.synth.generator import GeneratorConfig
 
 __all__ = ["bench_generate", "generator_shapes", "main"]
 
-#: CI acceptance: vectorized generation must beat per-case python by
+#: CI gate: vectorized generation must beat per-case python by
 #: at least this factor over the preset's shapes.
 DEFAULT_MIN_RATIO = 3.0
 DEFAULT_REPS = 3

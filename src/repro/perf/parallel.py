@@ -5,25 +5,23 @@ The paper's evaluation schedules 100 benchmarks per parameter point and
 work out over a pool of worker processes.  Three properties are load
 bearing:
 
-**Determinism.**  The serial driver draws one 48-bit case seed per
-*attempt* from ``random.Random(master_seed)`` and derives the scheduler
-seed as ``case_seed & 0xFFFFFFFF`` (see
+**Determinism.**  The serial driver draws one 48-bit case seed per case
+from ``random.Random(master_seed)`` and derives the scheduler seed as
+``case_seed & 0xFFFFFFFF`` (see
 :func:`repro.synth.corpus.generate_cases`).  The parallel driver draws
-the exact same attempt-seed sequence in the parent, ships seeds to the
-workers in chunks, and consumes worker results in submission order --
-applying the ``accept`` filter verdicts positionally, exactly as the
-serial loop would.  The accepted prefix is therefore identical to the
-serial output; only *unused* trailing attempts (work the serial loop
-would never have started) may differ.  The determinism regression test
-pins this with :func:`results_digest`.
+exactly ``count`` seeds of that same sequence in the parent, ships them
+to the workers in :data:`CHUNK_SIZE` slices, and consumes worker
+results in submission order, so the result list *is* the serial list.
+The determinism regression test pins this with :func:`results_digest`.
 
-**Graceful fallback.**  ``jobs=1``, a platform without ``fork``, or an
-unpicklable payload (e.g. a closure ``accept`` filter) silently falls
-back to the serial path; callers never have to care.
+**Graceful fallback.**  ``jobs=1`` or a platform without ``fork``
+falls back to the serial path; callers never have to care.
 
-**Bounded dispatch.**  Seeds are sent in chunks (amortizing IPC) with a
-bounded number of chunks in flight, so a filtered corpus does not race
-arbitrarily far past the acceptance target.
+**One ordered pool.**  Both corpus drivers -- this pickling pool and
+the zero-copy driver of :mod:`repro.perf.shm` -- run their slices
+through :func:`ordered_pool`: one fork pool, a bounded number of
+slices in flight, results in submission order, and one worker wrapper
+that opens the observation collectors and ships their state home.
 """
 
 from __future__ import annotations
@@ -32,12 +30,13 @@ import hashlib
 import json
 import multiprocessing
 import os
-import pickle
 import random
 from collections import deque
 from contextlib import nullcontext
 from concurrent.futures import ProcessPoolExecutor
-from typing import Callable, Sequence
+from functools import partial
+from itertools import islice
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from dataclasses import dataclass
 
@@ -56,7 +55,7 @@ from repro.obs import progress as obs_progress
 from repro.obs.spans import collect_trace, current_tracer
 from repro.perf.gctune import batched_gc
 from repro.perf.timers import add_to_current, collect_timings, stage
-from repro.synth.corpus import BenchmarkCase, compile_case
+from repro.synth.corpus import compile_case
 from repro.synth.generator import GeneratorConfig
 from repro.timing import Interval
 
@@ -70,10 +69,11 @@ __all__ = [
     "run_cases_parallel",
 ]
 
-#: Attempt seeds per worker task; amortizes IPC without hurting balance.
+#: Cases per worker task; amortizes IPC without hurting balance.
 CHUNK_SIZE = 8
 
-#: Chunks in flight per worker; bounds wasted work past the accept target.
+#: Tasks in flight per worker; keeps workers fed without queueing the
+#: whole corpus up front.
 CHUNKS_IN_FLIGHT = 2
 
 #: Cases per batched-pipeline chunk (vectorized generation + batched
@@ -135,68 +135,104 @@ def fork_available() -> bool:
         return False
 
 
-def _run_chunk(
-    payload: tuple[
-        GeneratorConfig,
-        TimingModel,
-        SchedulerConfig,
-        Callable[[BenchmarkCase], bool] | None,
-        tuple[int, ...],
-        bool,
-        bool,
-        str,
-    ],
-) -> tuple[
-    list[ScheduleResult | None],
-    dict[str, float],
-    dict,
-    dict | None,
-    dict | None,
-]:
-    """Worker: compile/filter/schedule one chunk of attempt seeds.
+def chunk_bounds(count: int) -> list[tuple[int, int]]:
+    """The ``[lo, hi)`` slices of a ``count``-case corpus, one per task."""
+    return [
+        (lo, min(lo + CHUNK_SIZE, count)) for lo in range(0, count, CHUNK_SIZE)
+    ]
 
-    Returns one entry per attempt -- ``None`` for rejected attempts, a
-    :class:`ScheduleResult` otherwise -- plus the worker's stage timings,
-    its obs metrics, its resource profile (when the parent is
-    profiling), and (when the parent asked for tracing) its span tracer
-    state for :meth:`~repro.obs.spans.SpanTracer.adopt`.
+
+def _observed(
+    fn: Callable[[Any], Any],
+    backend: str,
+    trace: bool,
+    profile: bool,
+    task: Any,
+) -> tuple[Any, tuple]:
+    """Worker wrapper: run ``fn(task)`` under fresh collectors.
+
+    Returns ``(result, state)``; the parent folds ``state`` into its own
+    collectors with :func:`_absorb`.
     """
-    generator, timing, scheduler, accept, seeds, trace, profile, backend = (
-        payload
-    )
     # Pin the kernel backend explicitly rather than trusting fork-time
     # env inheritance: the parent may scope REPRO_BACKEND per command
     # (``repro-sbm perf --backend``) while the pool outlives that scope.
     os.environ["REPRO_BACKEND"] = backend
-    out: list[ScheduleResult | None] = []
-    # A fresh per-chunk tracer: fork copies the parent's contextvars, so
-    # without this the spans would pile up in a dead copy of the parent's
-    # tracer instead of being shipped back.  Same story for the metrics
-    # registry and the profiler -- and the profiler must be installed
-    # before ``batched_gc`` so its GC hook finds it.
+    # Fresh per-task collectors: fork copies the parent's contextvars, so
+    # without them the observations would pile up in dead copies of the
+    # parent's collectors instead of being shipped back.  The profiler
+    # must be installed before ``batched_gc`` so its GC hook finds it.
     tracing = collect_trace() if trace else nullcontext(None)
     profiling = obs_prof.collect_profile() if profile else nullcontext(None)
     with tracing as tracer, obs_metrics.collect_metrics() as metrics, (
         profiling
     ) as prof, batched_gc():
         with collect_timings() as timings:
-            for seed in seeds:
-                with stage("generate"):
-                    case = compile_case(generator, seed, timing)
-                if accept is not None and not accept(case):
-                    out.append(None)
-                    continue
-                config = scheduler.with_(seed=case.seed & 0xFFFFFFFF)
-                with stage("schedule"):
-                    out.append(schedule_dag(case.dag, config))
-    trace_state = tracer.export_state() if tracer is not None else None
-    return (
-        out,
+            result = fn(task)
+    state = (
         timings.as_dict(),
         metrics.as_dict(),
         prof.as_dict() if prof is not None else None,
-        trace_state,
+        tracer.export_state() if tracer is not None else None,
     )
+    return result, state
+
+
+def _absorb(state: tuple) -> None:
+    """Fold one worker's :func:`_observed` state into the parent's
+    active collectors (each a no-op when that collector is off)."""
+    timings, metrics, profile, trace_state = state
+    add_to_current(timings)
+    obs_metrics.add_to_current(metrics)
+    if profile is not None:
+        obs_prof.add_to_current(profile)
+    if trace_state is not None:
+        tracer = current_tracer()
+        if tracer is not None:
+            tracer.adopt(trace_state)
+
+
+def ordered_pool(
+    fn: Callable[[Any], Any], tasks: Iterable[Any], jobs: int
+) -> Iterator[Any]:
+    """Map ``fn`` over ``tasks`` on a fork pool of ``jobs`` workers.
+
+    Keeps ``jobs * CHUNKS_IN_FLIGHT`` tasks in flight and yields results
+    strictly in submission order, so a caller that concatenates them
+    gets the serial order.  Each worker runs under :func:`_observed` and
+    its observations are folded into the parent's collectors before its
+    result is yielded.  ``fn`` must be a module-level function.
+    """
+    backend = kernels.backend_setting()  # validates REPRO_BACKEND early
+    trace = current_tracer() is not None
+    profile = obs_prof.current_profiler() is not None
+    tasks = iter(tasks)
+    context = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(max_workers=jobs, mp_context=context) as pool:
+        submit = partial(pool.submit, _observed, fn, backend, trace, profile)
+        pending = deque(map(submit, islice(tasks, jobs * CHUNKS_IN_FLIGHT)))
+        while pending:
+            result, state = pending.popleft().result()
+            pending.extend(map(submit, islice(tasks, 1)))
+            _absorb(state)
+            yield result
+
+
+def _run_chunk(
+    payload: tuple[
+        GeneratorConfig, TimingModel, SchedulerConfig, tuple[int, ...]
+    ],
+) -> list[ScheduleResult]:
+    """Worker: compile and schedule one slice of case seeds."""
+    generator, timing, scheduler, seeds = payload
+    out: list[ScheduleResult] = []
+    for seed in seeds:
+        with stage("generate"):
+            case = compile_case(generator, seed, timing)
+        config = scheduler.with_(seed=case.seed & 0xFFFFFFFF)
+        with stage("schedule"):
+            out.append(schedule_dag(case.dag, config))
+    return out
 
 
 def run_cases_parallel(
@@ -205,99 +241,26 @@ def run_cases_parallel(
     master_seed: int,
     timing: TimingModel,
     scheduler: SchedulerConfig,
-    accept: Callable[[BenchmarkCase], bool] | None,
     jobs: int,
-    max_attempts_factor: int = 50,
 ) -> list[ScheduleResult] | None:
     """Schedule a corpus point on a process pool; ``None`` means "cannot
-    parallelize, use the serial path" (no fork, or unpicklable payload).
+    parallelize, use the serial path" (``jobs <= 1`` or no fork).
 
     The result list is bit-identical to the serial driver's (see the
-    module docstring for why).  Raises the same ``RuntimeError`` as
-    :func:`repro.synth.corpus.generate_cases` when the ``accept`` filter
-    exhausts its attempt budget.
+    module docstring for why).
     """
     if jobs <= 1 or count <= 0 or not fork_available():
         return None
-    try:  # closures / bound methods as ``accept`` cannot cross processes
-        pickle.dumps((generator, timing, scheduler, accept))
-    except Exception:
-        return None
-
-    backend = kernels.backend_setting()  # validates REPRO_BACKEND early
     seed_stream = random.Random(master_seed)
-    limit = max(1, count) * max_attempts_factor
-    attempts = 0
-
-    def next_chunk() -> tuple[int, ...]:
-        nonlocal attempts
-        take = min(CHUNK_SIZE, limit - attempts)
-        attempts += take
-        return tuple(seed_stream.getrandbits(48) for _ in range(take))
-
+    seeds = tuple(seed_stream.getrandbits(48) for _ in range(count))
+    tasks = (
+        (generator, timing, scheduler, seeds[lo:hi])
+        for lo, hi in chunk_bounds(count)
+    )
     results: list[ScheduleResult] = []
-    trace = current_tracer() is not None
-    profile = obs_prof.current_profiler() is not None
-    context = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(max_workers=jobs, mp_context=context) as pool:
-        pending = deque()
-
-        def submit(seeds: tuple[int, ...]) -> None:
-            pending.append(
-                pool.submit(
-                    _run_chunk,
-                    (
-                        generator,
-                        timing,
-                        scheduler,
-                        accept,
-                        seeds,
-                        trace,
-                        profile,
-                        backend,
-                    ),
-                )
-            )
-
-        for _ in range(jobs * CHUNKS_IN_FLIGHT):
-            seeds = next_chunk()
-            if not seeds:
-                break
-            submit(seeds)
-        while len(results) < count:
-            if not pending:
-                raise RuntimeError(
-                    f"corpus filter accepted only {len(results)}/{count} cases "
-                    f"after {attempts} attempts"
-                )
-            (
-                chunk_results,
-                worker_timings,
-                worker_metrics,
-                worker_profile,
-                trace_state,
-            ) = pending.popleft().result()
-            add_to_current(worker_timings)
-            obs_metrics.add_to_current(worker_metrics)
-            if worker_profile is not None:
-                obs_prof.add_to_current(worker_profile)
-            if trace_state is not None:
-                tracer = current_tracer()
-                if tracer is not None:
-                    tracer.adopt(trace_state)
-            accepted_before = len(results)
-            for item in chunk_results:
-                if item is not None:
-                    results.append(item)
-                    if len(results) == count:
-                        break
-            obs_progress.advance(len(results) - accepted_before)
-            if len(results) < count:
-                seeds = next_chunk()
-                if seeds:
-                    submit(seeds)
-        for fut in pending:  # drop overdrawn attempts, matching serial stop
-            fut.cancel()
+    for chunk in ordered_pool(_run_chunk, tasks, jobs):
+        results.extend(chunk)
+        obs_progress.advance(len(chunk))
     return results
 
 

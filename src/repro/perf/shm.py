@@ -1,10 +1,10 @@
 """Zero-copy parallel corpus driver over shared-memory arenas.
 
-The pickling pool (:mod:`repro.perf.parallel`) ships attempt seeds out
+The pickling pool (:mod:`repro.perf.parallel`) ships case seeds out
 and whole ``ScheduleResult`` object graphs back -- every schedule's
 streams, barriers, DAG, and caches cross the process boundary as a
-pickle.  This driver removes both copies for the common unfiltered
-corpus point:
+pickle.  This driver removes both copies for corpus points whose
+consumers only aggregate:
 
 * **Input.**  The parent draws the *entire* corpus in one vectorized
   pass (:func:`repro.synth.genvec.draw_corpus`) and places the drawn
@@ -24,47 +24,41 @@ corpus point:
   :class:`~repro.perf.parallel.CompactResult` rows.
 
 Bit-identity holds because the drawn corpus is exactly the serial
-attempt-seed sequence, workers run the unmodified compile + schedule
-code on it, and digest records are computed by the same
-:func:`~repro.perf.parallel.digest_record` the serial digest uses.
+case-seed sequence, workers run the unmodified compile + schedule code
+on it, and digest records are computed by the same
+:func:`~repro.perf.parallel.digest_record` the serial digest uses.  The
+slices run through the same :func:`~repro.perf.parallel.ordered_pool`
+as the pickling pool, so worker observation and result order are
+handled in one place.
 
 :func:`run_cases_shm` returns ``None`` whenever it cannot apply --
-filtered corpora, ``jobs <= 1``, no ``fork``, a generator config the
-vectorized path does not cover, or a backend/threshold that resolves
-to python -- and callers fall back to the pickling pool or the serial
-loop.  Consumers that need full schedules (the simulation pass, the
-secondary-effect tables) must keep using those paths; only
-aggregation/digest consumers opt in (``run_corpus(...,
-compact=True)``).
+``jobs <= 1``, no ``fork``, a generator config the vectorized path
+does not cover, or a backend/threshold that resolves to python -- and
+callers fall back to the pickling pool or the serial loop.  Consumers
+that need full schedules (the simulation pass, the secondary-effect
+tables) must keep using those paths; only aggregation/digest consumers
+opt in (``run_corpus(..., compact=True)``).
 """
 
 from __future__ import annotations
 
 import json
-import multiprocessing
-import os
 import random
-from collections import deque
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from multiprocessing import shared_memory
 
 from repro import kernels
 from repro.core.scheduler import SchedulerConfig, SyncCounts, schedule_dag
 from repro.ir.ops import TimingModel
-from repro.obs import metrics as obs_metrics
 from repro.obs import prof as obs_prof
 from repro.obs import progress as obs_progress
-from repro.obs.spans import collect_trace, current_tracer
 from repro.perf.parallel import (
-    CHUNK_SIZE,
-    CHUNKS_IN_FLIGHT,
     CompactResult,
+    chunk_bounds,
     digest_record,
     fork_available,
+    ordered_pool,
 )
-from repro.perf.gctune import batched_gc
-from repro.perf.timers import add_to_current, collect_timings, stage
+from repro.perf.timers import stage
 from repro.synth import genvec
 from repro.synth.generator import GeneratorConfig
 from repro.timing import Interval
@@ -158,85 +152,40 @@ class CorpusArena:
 
 def _run_shm_chunk(
     payload: tuple[
-        dict,  # arena manifest
-        GeneratorConfig,
-        TimingModel,
-        SchedulerConfig,
-        int,  # slice start
-        int,  # slice stop
-        bool,  # tracing
-        bool,  # profiling
-        str,  # backend
+        dict, GeneratorConfig, TimingModel, SchedulerConfig, int, int
     ],
 ):
-    """Worker: compile and schedule ``[start, stop)`` out of the arena.
+    """Worker: compile and schedule ``[lo, hi)`` out of the arena.
 
-    Returns ``(counts, makespans, processors, records_json)`` compact
-    arrays plus the usual worker timings / metrics / profile / trace
-    state.
+    ``payload`` is ``(arena manifest, generator, timing, scheduler, lo,
+    hi)``; returns ``(counts, makespans, processors, records_json)``
+    compact arrays.
     """
-    (
-        manifest,
-        generator,
-        timing,
-        scheduler,
-        start,
-        stop,
-        trace,
-        profile,
-        backend,
-    ) = payload
-    os.environ["REPRO_BACKEND"] = backend
+    manifest, generator, timing, scheduler, lo, hi = payload
     np = kernels.numpy()
     arena, arrays = CorpusArena.attach(manifest)
     try:
-        sliced = {name: arr[start:stop] for name, arr in arrays.items()}
-        tracing = collect_trace() if trace else nullcontext(None)
-        # The profiler precedes ``batched_gc`` so its GC hook finds it.
-        profiling = (
-            obs_prof.collect_profile() if profile else nullcontext(None)
-        )
-        with tracing as tracer, obs_metrics.collect_metrics() as metrics, (
-            profiling
-        ) as prof, batched_gc():
-            with collect_timings() as timings:
-                with stage("generate"):
-                    drawn = genvec.DrawnCorpus.from_arrays(sliced)
-                    cases = genvec.compile_drawn_cases(
-                        drawn, generator, timing
-                    )
-                n = len(cases)
-                counts = np.empty((n, len(_COUNT_FIELDS)), dtype=np.int64)
-                makespans = np.empty((n, 2), dtype=np.int64)
-                processors = np.empty(n, dtype=np.int64)
-                records = []
-                with stage("schedule"):
-                    for k, case in enumerate(cases):
-                        config = scheduler.with_(seed=case.seed & 0xFFFFFFFF)
-                        result = schedule_dag(case.dag, config)
-                        counts[k] = [
-                            getattr(result.counts, f) for f in _COUNT_FIELDS
-                        ]
-                        makespans[k] = (
-                            result.makespan.lo,
-                            result.makespan.hi,
-                        )
-                        processors[k] = result.schedule.used_processors()
-                        records.append(digest_record(result))
+        sliced = {name: arr[lo:hi] for name, arr in arrays.items()}
+        with stage("generate"):
+            drawn = genvec.DrawnCorpus.from_arrays(sliced)
+            cases = genvec.compile_drawn_cases(drawn, generator, timing)
     finally:
         # from_arrays copied the slice out; no views outlive the attach.
         arena.close()
-    trace_state = tracer.export_state() if tracer is not None else None
-    return (
-        counts,
-        makespans,
-        processors,
-        json.dumps(records),
-        timings.as_dict(),
-        metrics.as_dict(),
-        prof.as_dict() if prof is not None else None,
-        trace_state,
-    )
+    n = len(cases)
+    counts = np.empty((n, len(_COUNT_FIELDS)), dtype=np.int64)
+    makespans = np.empty((n, 2), dtype=np.int64)
+    processors = np.empty(n, dtype=np.int64)
+    records = []
+    with stage("schedule"):
+        for k, case in enumerate(cases):
+            config = scheduler.with_(seed=case.seed & 0xFFFFFFFF)
+            result = schedule_dag(case.dag, config)
+            counts[k] = [getattr(result.counts, f) for f in _COUNT_FIELDS]
+            makespans[k] = (result.makespan.lo, result.makespan.hi)
+            processors[k] = result.schedule.used_processors()
+            records.append(digest_record(result))
+    return counts, makespans, processors, json.dumps(records)
 
 
 def run_cases_shm(
@@ -247,7 +196,7 @@ def run_cases_shm(
     scheduler: SchedulerConfig,
     jobs: int,
 ) -> "list[CompactResult] | None":
-    """Run an unfiltered corpus point through the zero-copy driver.
+    """Run a corpus point through the zero-copy driver.
 
     Returns compact results in the exact serial case order, or ``None``
     when the driver cannot apply (see the module docstring); callers
@@ -260,102 +209,36 @@ def run_cases_shm(
     if not kernels.use_numpy("genvec", count):
         return None
 
-    backend = kernels.backend_setting()  # validates REPRO_BACKEND early
     seed_stream = random.Random(master_seed)
     seeds = [seed_stream.getrandbits(48) for _ in range(count)]
     with stage("generate"):  # the parent's share: the vectorized draws
         drawn = genvec.draw_corpus(generator, seeds)
         arena = CorpusArena.create(drawn.arrays())
 
-    trace = current_tracer() is not None
-    profile = obs_prof.current_profiler() is not None
     results: list[CompactResult] = []
+    tasks = (
+        (arena.manifest, generator, timing, scheduler, lo, hi)
+        for lo, hi in chunk_bounds(count)
+    )
     try:
-        context = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(
-            max_workers=jobs, mp_context=context
-        ) as pool:
-            pending: deque = deque()
-            bounds = [
-                (lo, min(lo + CHUNK_SIZE, count))
-                for lo in range(0, count, CHUNK_SIZE)
-            ]
-            # Results are consumed strictly in submission order, so the
-            # reassembled sequence is the serial order; the in-flight
-            # bound only limits arena pressure, not ordering.
-            window = max(1, jobs * CHUNKS_IN_FLIGHT)
-            for lo, hi in bounds[:window]:
-                pending.append(
-                    pool.submit(
-                        _run_shm_chunk,
-                        (
-                            arena.manifest,
-                            generator,
-                            timing,
-                            scheduler,
-                            lo,
-                            hi,
-                            trace,
-                            profile,
-                            backend,
+        for counts, makespans, processors, records_json in ordered_pool(
+            _run_shm_chunk, tasks, jobs
+        ):
+            records = json.loads(records_json)
+            base = len(results)
+            for k, record in enumerate(records):
+                results.append(
+                    CompactResult(
+                        config=scheduler.with_(
+                            seed=seeds[base + k] & 0xFFFFFFFF
                         ),
+                        counts=SyncCounts(*counts[k].tolist()),
+                        makespan=Interval(*makespans[k].tolist()),
+                        processors_used=int(processors[k]),
+                        record=record,
                     )
                 )
-            next_chunk = window
-            while pending:
-                (
-                    counts,
-                    makespans,
-                    processors,
-                    records_json,
-                    worker_timings,
-                    worker_metrics,
-                    worker_profile,
-                    trace_state,
-                ) = pending.popleft().result()
-                if next_chunk < len(bounds):
-                    lo, hi = bounds[next_chunk]
-                    next_chunk += 1
-                    pending.append(
-                        pool.submit(
-                            _run_shm_chunk,
-                            (
-                                arena.manifest,
-                                generator,
-                                timing,
-                                scheduler,
-                                lo,
-                                hi,
-                                trace,
-                                profile,
-                                backend,
-                            ),
-                        )
-                    )
-                add_to_current(worker_timings)
-                obs_metrics.add_to_current(worker_metrics)
-                if worker_profile is not None:
-                    obs_prof.add_to_current(worker_profile)
-                if trace_state is not None:
-                    tracer = current_tracer()
-                    if tracer is not None:
-                        tracer.adopt(trace_state)
-                records = json.loads(records_json)
-                base = len(results)
-                for k, record in enumerate(records):
-                    case_seed = seeds[base + k]
-                    results.append(
-                        CompactResult(
-                            config=scheduler.with_(
-                                seed=case_seed & 0xFFFFFFFF
-                            ),
-                            counts=SyncCounts(*counts[k].tolist()),
-                            makespan=Interval(*makespans[k].tolist()),
-                            processors_used=int(processors[k]),
-                            record=record,
-                        )
-                    )
-                obs_progress.advance(len(records))
+            obs_progress.advance(len(records))
     finally:
         arena.destroy()
     return results

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro import kernels
 from repro.core.scheduler import SchedulerConfig
 from repro.experiments.sweeps import ExperimentPoint, run_corpus
 from repro.machine.program import MachineProgram
@@ -17,7 +18,7 @@ from repro.obs import metrics as obs_metrics
 from repro.obs.provenance import collect_provenance
 from repro.obs.runtime import analyze_trace
 from repro.obs.spans import collect_trace
-from repro.perf.parallel import fork_available, results_digest
+from repro.perf.parallel import CompactResult, fork_available, results_digest
 from repro.synth.generator import GeneratorConfig
 
 needs_fork = pytest.mark.skipif(
@@ -125,20 +126,33 @@ class TestDigestParity:
         assert prof.kernels, "worker profiles must ship home"
 
     @needs_fork
-    def test_worker_metrics_cover_serial_metrics(self):
-        """Worker registries are merged into the parent.  The parallel
-        driver overdraws work past the acceptance target (chunk
-        granularity, bounded in-flight speculation), so its counters may
-        exceed the serial run's -- but never fall short: every counted
-        decision of the serial corpus happened in some worker and was
-        shipped home."""
+    def test_worker_metrics_cover_serial_metrics(self, monkeypatch):
+        """Worker registries are merged into the parent, and both pool
+        drivers schedule exactly the serial corpus -- ``count`` seeds,
+        nothing speculative past it -- so every counter *equals* the
+        serial run's: no decision is lost on the way home, and no hidden
+        wasted work is counted."""
         with obs_metrics.collect_metrics() as serial:
             run_corpus(POINT, jobs=1)
-        with obs_metrics.collect_metrics() as parallel:
-            run_corpus(POINT, jobs=2)
-        for name in (
-            "scheduler.barriers_inserted",
-            "scheduler.resolution.barrier",
-            "scheduler.resolution.serialized",
-        ):
-            assert parallel.counter(name) >= serial.counter(name) > 0, name
+        drivers = [("pool", None, False)]
+        if kernels.have_numpy():  # the zero-copy driver needs genvec
+            drivers.append(("shm", "numpy", True))
+        for driver, backend, compact in drivers:
+            with monkeypatch.context() as patch:
+                if backend is not None:
+                    patch.setenv("REPRO_BACKEND", backend)
+                with obs_metrics.collect_metrics() as parallel:
+                    results = run_corpus(POINT, jobs=2, compact=compact)
+            assert (
+                any(isinstance(r, CompactResult) for r in results) == compact
+            ), driver
+            for name in (
+                "scheduler.barriers_inserted",
+                "scheduler.resolution.barrier",
+                "scheduler.resolution.serialized",
+            ):
+                assert serial.counter(name) > 0, name
+                assert parallel.counter(name) == serial.counter(name), (
+                    driver,
+                    name,
+                )

@@ -25,7 +25,7 @@ from repro.obs.prof import (
 )
 from repro.obs.spans import collect_trace
 from repro.perf.gctune import batched_gc
-from repro.perf.parallel import fork_available
+from repro.perf.parallel import CompactResult, fork_available
 from repro.synth.generator import GeneratorConfig
 
 needs_fork = pytest.mark.skipif(
@@ -294,10 +294,23 @@ class TestFoldedStacks:
         assert path.read_text() == ""
 
     @needs_fork
-    def test_worker_spans_prefixed(self):
-        with collect_trace() as tracer:
-            run_corpus(POINT, jobs=2)
-        lines = folded_stacks(tracer)
-        assert any(line.startswith("worker:") for line in lines), (
-            "adopted worker spans must be distinguishable in the flamegraph"
-        )
+    def test_worker_spans_prefixed(self, monkeypatch):
+        """Both pool drivers ship worker spans home: the pickling pool,
+        and the zero-copy driver (numpy, ``compact=True``)."""
+        drivers = [("pool", POINT, None, False)]
+        if kernels.have_numpy():
+            drivers.append(("shm", POINT.with_(count=16), "numpy", True))
+        for driver, point, backend, compact in drivers:
+            with monkeypatch.context() as patch:
+                if backend is not None:
+                    patch.setenv("REPRO_BACKEND", backend)
+                with collect_trace() as tracer:
+                    results = run_corpus(point, jobs=2, compact=compact)
+            assert (
+                any(isinstance(r, CompactResult) for r in results) == compact
+            ), driver
+            lines = folded_stacks(tracer)
+            assert any(line.startswith("worker:") for line in lines), (
+                f"{driver}: adopted worker spans must be distinguishable "
+                "in the flamegraph"
+            )

@@ -93,26 +93,6 @@ class TestDigestParityMatrix:
         parallel = results_digest(run_corpus(point, jobs=2, batch=1))
         assert serial == parallel
 
-    def test_batched_filtered_corpus(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        point = batch_point(count=10)
-
-        def accept(case):
-            return case.implied_synchronizations % 2 == 0
-
-        a = results_digest(run_corpus(point, accept=accept, batch=1))
-        b = results_digest(run_corpus(point, accept=accept, batch=4))
-        assert a == b
-
-    def test_batched_exhaustion_matches_serial(self):
-        point = batch_point(count=3)
-        messages = []
-        for batch in (1, 4):
-            with pytest.raises(RuntimeError) as err:
-                run_corpus(point, accept=lambda case: False, batch=batch)
-            messages.append(str(err.value))
-        assert messages[0] == messages[1]
-
     @needs_numpy
     def test_check_mode_batched(self, monkeypatch):
         """Check mode forces the kernels on and cross-checks per case."""

@@ -116,12 +116,6 @@ class TestRunPointIntegration:
         assert run_point(p, cache=True).total_repairs == 777
         assert run_point(p, cache=False).total_repairs == real.total_repairs
 
-    def test_accept_filter_never_cached(self):
-        p = point()
-        stats = run_point(p, accept=lambda case: True, cache=True)
-        assert stats.n_benchmarks == p.count
-        assert load_point_stats(p) is None  # nothing was stored
-
     def test_sweep_passthrough(self, isolated_cache):
         out = sweep(point(), "scheduler.n_pes", [2, 4], cache=True)
         assert len(list(isolated_cache.glob("sweeps/*.json"))) == 2

@@ -37,10 +37,6 @@ def small_point(**kw):
     return ExperimentPoint(**defaults)
 
 
-def _accept_even_syncs(case) -> bool:  # module-level: must cross processes
-    return case.implied_synchronizations % 2 == 0
-
-
 class TestResolveJobs:
     def test_default_is_serial(self, monkeypatch):
         monkeypatch.delenv("REPRO_JOBS", raising=False)
@@ -78,13 +74,6 @@ class TestDeterminism:
         assert results_digest(serial) == results_digest(parallel)
 
     @needs_fork
-    def test_accept_filter_parity(self):
-        point = small_point(count=5)
-        serial = run_corpus(point, accept=_accept_even_syncs, jobs=1)
-        parallel = run_corpus(point, accept=_accept_even_syncs, jobs=4)
-        assert results_digest(serial) == results_digest(parallel)
-
-    @needs_fork
     def test_run_point_stats_match(self):
         point = small_point()
         s1 = run_point(point, jobs=1, cache=False)
@@ -100,30 +89,6 @@ class TestDeterminism:
 
 
 class TestFallbacks:
-    def test_unpicklable_accept_falls_back(self):
-        """A closure accept filter cannot cross processes; the parallel
-        entry declines (returns None) and run_corpus serves serially."""
-        point = small_point(count=4)
-        threshold = 0
-
-        def accept(case):  # closure -> unpicklable
-            return case.implied_synchronizations >= threshold
-
-        assert (
-            run_cases_parallel(
-                point.generator,
-                point.count,
-                point.master_seed,
-                point.timing,
-                point.scheduler,
-                accept,
-                jobs=4,
-            )
-            is None
-        )
-        results = run_corpus(point, accept=accept, jobs=4)
-        assert results_digest(results) == results_digest(run_corpus(point))
-
     def test_jobs1_never_pools(self):
         point = small_point(count=2)
         assert (
@@ -133,21 +98,7 @@ class TestFallbacks:
                 point.master_seed,
                 point.timing,
                 point.scheduler,
-                None,
                 jobs=1,
             )
             is None
         )
-
-    @needs_fork
-    def test_exhausted_filter_raises_like_serial(self):
-        point = small_point(count=2)
-
-        with pytest.raises(RuntimeError, match="corpus filter accepted only"):
-            run_corpus(
-                point, accept=_reject_everything, jobs=4
-            )
-
-
-def _reject_everything(case) -> bool:  # module-level: must cross processes
-    return False
