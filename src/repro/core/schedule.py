@@ -36,7 +36,8 @@ classes with very different blast radii:
 Timing queries (``delta_before``/``delta_through``/``global_finish``/
 ``completion``) answer in O(1) from per-stream prefix-sum tables
 (barriers contribute zero, so a region sum is a difference of two
-prefix sums and ``LastBar`` is one array lookup).
+prefix sums and ``LastBar`` is one array lookup).  :meth:`makespan` is
+one pass over the per-PE tail tables, cached per revision.
 
 Set ``REPRO_CHECK_INCREMENTAL=1`` to cross-check every incremental view
 against a scratch rebuild after each mutation (slow; debug/CI only).
@@ -96,8 +97,9 @@ class Schedule:
             [self.initial_barrier] for _ in range(n_pes)
         ]
         self._processor_of: dict[NodeId, int] = {}
-        #: Total mutation count (observability only -- the caches below
-        #: are maintained incrementally, not keyed on a revision).
+        #: Total mutation count.  Most derived views below are patched
+        #: incrementally; the completion vector and the makespan are
+        #: instead cached under the revision they were computed at.
         self.revision = 0
         #: Structure revision: bumped when the *barrier set* changes
         #: (insert/replace).  ``revision - structure_revision`` is the
@@ -131,11 +133,13 @@ class Schedule:
         #: adjacency list.  Lives and dies with ``_hb_cache``.
         self._hb_pred_cache: dict[HbKey, list[HbKey]] | None = None
         self._hbdesc_cache: dict[int, frozenset[int]] | None = None
-        #: per-PE id of the stream's last barrier and the hi-latency sum
-        #: of the instructions after it -- exact at every revision, so
-        #: the completion vector (numpy assign kernel) is a gather plus
-        #: one vector add instead of an O(n_pes) python walk.
+        #: per-PE id of the stream's last barrier and the lo/hi-latency
+        #: sums of the instructions after it -- exact at every revision,
+        #: so a PE's completion is one fire-time lookup plus its tail,
+        #: and the completion vector (numpy assign kernel) is a gather
+        #: plus one vector add instead of an O(n_pes) python walk.
         self._last_bid: list[int] = [0] * n_pes
+        self._tail_lo: list[int] = [0] * n_pes
         self._tail_hi: list[int] = [0] * n_pes
         #: int64 vector of completion_hi(pe) for all PEs (numpy assign
         #: kernel); valid only while ``_comp_vec_rev == revision``.
@@ -143,6 +147,9 @@ class Schedule:
         #: mutations drop it with the fire cache.
         self._comp_vec = None
         self._comp_vec_rev = -1
+        #: makespan(); valid only while ``_makespan_rev == revision``.
+        self._makespan: Interval | None = None
+        self._makespan_rev = -1
         self._check = os.environ.get("REPRO_CHECK_INCREMENTAL", "") not in ("", "0")
         self._rebuild_tables()
 
@@ -194,7 +201,7 @@ class Schedule:
 
     def used_processors(self) -> int:
         """Processors with at least one instruction."""
-        return sum(1 for pe in range(self.n_pes) if self.instructions_on(pe))
+        return len(set(self._processor_of.values()))
 
     # -- auxiliary-table maintenance ---------------------------------------------
 
@@ -217,6 +224,7 @@ class Schedule:
         self._hb_pred_cache = None
         self._hbdesc_cache = None
         self._comp_vec = None
+        self._makespan_rev = -1
 
     def _reindex_stream(self, pe: int) -> None:
         """Rebuild one stream's prefix sums / barrier-position tables."""
@@ -249,6 +257,7 @@ class Schedule:
         self._barpos[pe] = barpos
         self._barindex[pe] = barindex
         self._last_bid[pe] = stream[last].id  # every stream starts with b0
+        self._tail_lo[pe] = lo - cum_lo[last + 1]
         self._tail_hi[pe] = hi - cum_hi[last + 1]
 
     def _rebuild_contrib(self) -> None:
@@ -297,6 +306,7 @@ class Schedule:
         self._cum_lo[pe].append(self._cum_lo[pe][-1] + lat.lo)
         self._cum_hi[pe].append(self._cum_hi[pe][-1] + lat.hi)
         self._lastbar[pe].append(self._lastbar[pe][-1])
+        self._tail_lo[pe] += lat.lo
         self._tail_hi[pe] += lat.hi
         self._bump()
         # Exact completion-vector patch: fire times and the last-barrier
@@ -1031,19 +1041,24 @@ class Schedule:
         return self.fire_times()[last.id] + self.delta_before(pe, idx)
 
     def completion(self, pe: int) -> Interval:
-        """``[min,max]`` time at which processor ``pe`` finishes its stream."""
-        stream = self.streams[pe]
-        last_bar = self.last_barrier_before(pe, len(stream))
-        trailing = self.delta_before(pe, len(stream))
-        return self.fire_times()[last_bar.id] + trailing
+        """``[min,max]`` time at which processor ``pe`` finishes its stream:
+        its last barrier's fire window plus its trailing region."""
+        fire = self.fire_times()[self._last_bid[pe]]
+        return Interval(fire.lo + self._tail_lo[pe], fire.hi + self._tail_hi[pe])
 
     def completion_hi(self, pe: int) -> int:
         """Upper bound of :meth:`completion` as a bare int."""
-        stream = self.streams[pe]
-        n = len(stream)
-        j = self._lastbar[pe][n - 1]
-        ch = self._cum_hi[pe]
-        return self.fire_times()[stream[j].id].hi + ch[n] - ch[j + 1]
+        return self.fire_times()[self._last_bid[pe]].hi + self._tail_hi[pe]
+
+    def _scratch_completion(self, pe: int, fire: dict[int, Interval]) -> Interval:
+        """:meth:`completion` by walking the stream back to its last
+        barrier (the debug-mode reference for the tail tables)."""
+        trailing = ZERO
+        for item in reversed(self.streams[pe]):
+            if isinstance(item, Barrier):
+                return fire[item.id] + trailing
+            trailing = trailing + self.dag.latency(item)
+        raise AssertionError("stream missing its initial barrier")
 
     def completion_hi_all(self):
         """:meth:`completion_hi` of every PE as one shared int64 numpy
@@ -1068,8 +1083,30 @@ class Schedule:
         return vec
 
     def makespan(self) -> Interval:
-        """``[min,max]`` completion time of the whole schedule."""
-        return interval_max(self.completion(pe) for pe in range(self.n_pes))
+        """``[min,max]`` completion time of the whole schedule.
+
+        The join over PEs of :meth:`completion`, taken per distinct last
+        barrier: the largest tail behind each barrier plus its fire
+        window.  One pass over the tail tables, cached per revision.
+        """
+        if self._makespan_rev == self.revision:
+            return self._makespan
+        tail_lo: dict[int, int] = {}
+        tail_hi: dict[int, int] = {}
+        for bid, lo, hi in zip(self._last_bid, self._tail_lo, self._tail_hi):
+            if lo > tail_lo.get(bid, -1):
+                tail_lo[bid] = lo
+            if hi > tail_hi.get(bid, -1):
+                tail_hi[bid] = hi
+        fire = self.fire_times()
+        self._makespan = Interval(
+            max(fire[bid].lo + lo for bid, lo in tail_lo.items()),
+            max(fire[bid].hi + hi for bid, hi in tail_hi.items()),
+        )
+        self._makespan_rev = self.revision
+        if self._check:
+            self._verify_incremental()
+        return self._makespan
 
     # -- debug cross-checks (REPRO_CHECK_INCREMENTAL=1) --------------------------------
 
@@ -1118,6 +1155,18 @@ class Schedule:
                 scratch_bd = self._scratch_barrier_dag()
             if self._fire_cache != scratch_bd.fire_times():
                 raise AssertionError("cached fire times diverged from scratch")
+        if self._makespan_rev == self.revision:
+            checked += 1
+            if scratch_bd is None:
+                scratch_bd = self._scratch_barrier_dag()
+            fire = scratch_bd.fire_times()
+            expect = interval_max(
+                self._scratch_completion(pe, fire) for pe in range(self.n_pes)
+            )
+            if self._makespan != expect:
+                raise AssertionError(
+                    f"cached makespan {self._makespan} != scratch {expect}"
+                )
         if self._hb_cache is not None or self._hbdesc_cache is not None:
             scratch_hb = self._scratch_hb_successors()
             if self._hb_cache is not None:
@@ -1160,16 +1209,20 @@ class Schedule:
             barpos: list[int] = []
             barindex: dict[int, int] = {}
             lo = hi = 0
+            tail_lo = tail_hi = 0
             last = -1
             for k, item in enumerate(stream):
                 if isinstance(item, Barrier):
                     barpos.append(k)
                     barindex[item.id] = k
                     last = k
+                    tail_lo = tail_hi = 0
                 else:
                     lat = self.dag.latency(item)
                     lo += lat.lo
                     hi += lat.hi
+                    tail_lo += lat.lo
+                    tail_hi += lat.hi
                     pos[item] = (pe, k)
                 cum_lo.append(lo)
                 cum_hi.append(hi)
@@ -1182,6 +1235,12 @@ class Schedule:
                 or barindex != self._barindex[pe]
             ):
                 raise AssertionError(f"stream tables diverged on PE {pe}")
+            if (
+                stream[last].id != self._last_bid[pe]
+                or tail_lo != self._tail_lo[pe]
+                or tail_hi != self._tail_hi[pe]
+            ):
+                raise AssertionError(f"tail tables diverged on PE {pe}")
         if pos != self._pos:
             raise AssertionError("instruction position table diverged")
         contrib = self._adj_contrib

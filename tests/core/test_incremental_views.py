@@ -25,8 +25,11 @@ from repro.core.merging import merge_all_overlapping
 from repro.core.schedule import Schedule
 from repro.core.scheduler import SchedulerConfig, schedule_dag
 from repro.experiments.sweeps import ExperimentPoint, run_corpus
+from repro.faults.harden import harden_schedule
+from repro.obs.metrics import collect_metrics
 from repro.perf.parallel import results_digest
 from repro.synth.generator import GeneratorConfig
+from repro.timing import Interval, interval_max
 
 from tests.conftest import make_case
 
@@ -153,6 +156,146 @@ class TestRandomMutationEquivalence:
                 if not sched.insertion_creates_hb_cycle(placements):
                     sched.insert_barrier(placements)
             assert_views_match_scratch(sched)
+
+
+def assert_makespan_matches_scratch(sched: Schedule) -> None:
+    """``makespan``/``completion``/``completion_hi`` read the tail tables;
+    each must equal the per-PE walk over the streams against scratch
+    fire times."""
+    fire = sched._scratch_barrier_dag().fire_times()
+    scratch = [sched._scratch_completion(pe, fire) for pe in range(sched.n_pes)]
+    assert [sched.completion(pe) for pe in range(sched.n_pes)] == scratch
+    assert [sched.completion_hi(pe) for pe in range(sched.n_pes)] == [
+        c.hi for c in scratch
+    ]
+    assert sched.makespan() == interval_max(scratch)
+
+
+#: (machine, insertion, merge_barriers, barrier_latency, n_pes)
+MAKESPAN_CONFIGS = [
+    ("sbm", "conservative", None, 0, 8),
+    ("sbm", "optimal", None, 2, 8),
+    ("sbm", "conservative", False, 0, 8),
+    ("dbm", "conservative", None, 0, 8),
+    ("dbm", "optimal", True, 3, 8),
+    ("sbm", "conservative", None, 2, 1),
+    ("dbm", "optimal", None, 0, 1),
+    ("sbm", "conservative", None, 0, 1024),
+    ("sbm", "optimal", False, 2, 1024),
+    ("dbm", "conservative", True, 1, 1024),
+]
+
+
+class TestMakespanTables:
+    """The makespan is a join over maintained per-PE tail tables, cached
+    per revision: after every kind of mutation it must equal the join of
+    scratch per-PE completions."""
+
+    @pytest.mark.parametrize(
+        "machine,insertion,merge,latency,n_pes", MAKESPAN_CONFIGS
+    )
+    def test_makespan_exact_after_every_mutation(
+        self, monkeypatch, machine, insertion, merge, latency, n_pes
+    ):
+        monkeypatch.delenv("REPRO_CHECK_INCREMENTAL", raising=False)
+        seen: set[str] = set()
+
+        def checked(name):
+            orig = getattr(Schedule, name)
+
+            def wrapper(self, *args, **kwargs):
+                out = orig(self, *args, **kwargs)
+                seen.add(name)
+                assert_makespan_matches_scratch(
+                    out if isinstance(out, Schedule) else self
+                )
+                return out
+
+            monkeypatch.setattr(Schedule, name, wrapper)
+
+        for name in (
+            "append_instruction", "insert_barrier", "replace_barrier", "with_dag"
+        ):
+            checked(name)
+        merging = machine == "sbm" if merge is None else merge
+        # Seed 2 merges while scheduling; seed 1 makes the ε-hardening
+        # pass (re-binding to an inflated DAG, then back) insert barriers.
+        for seed in (1, 2):
+            case = make_case(n_statements=30, n_variables=6, seed=seed)
+            cfg = SchedulerConfig(
+                n_pes=n_pes, machine=machine, insertion=insertion,
+                merge_barriers=merge, barrier_latency=latency, seed=seed,
+            )
+            result = schedule_dag(case.dag, cfg)
+            assert_makespan_matches_scratch(result.schedule)
+            report = harden_schedule(
+                result.schedule, 0.5, mode=insertion, merge=merging
+            )
+            assert_makespan_matches_scratch(report.schedule)
+        expect = {"append_instruction", "with_dag"}
+        if n_pes > 1:
+            expect.add("insert_barrier")
+            if merging:
+                expect.add("replace_barrier")
+        assert seen == expect
+
+    def test_makespan_cached_per_revision(self, monkeypatch):
+        monkeypatch.delenv("REPRO_CHECK_INCREMENTAL", raising=False)
+        calls: list[int] = []
+        fire_times = Schedule.fire_times
+
+        def spy(self):
+            calls.append(self.revision)
+            return fire_times(self)
+
+        monkeypatch.setattr(Schedule, "fire_times", spy)
+        case = make_case(n_statements=12, n_variables=4, seed=0)
+        nodes = list(case.dag.real_nodes)
+        sched = Schedule(case.dag, 4)
+        sched.append_instruction(0, nodes[0])
+        first = sched.makespan()
+        assert len(calls) == 1
+        assert sched.makespan() is first
+        assert len(calls) == 1  # unchanged revision: no fire-time read
+        sched.append_instruction(0, nodes[1])
+        second = sched.makespan()
+        assert len(calls) == 2 and calls[-1] == sched.revision
+        assert second == first + case.dag.latency(nodes[1])
+        assert_makespan_matches_scratch(sched)
+
+    def test_cross_check_covers_tail_tables_and_makespan(self, monkeypatch):
+        monkeypatch.setenv("REPRO_CHECK_INCREMENTAL", "1")
+        case = make_case(n_statements=24, n_variables=6, seed=2)
+        sched = schedule_dag(case.dag, SchedulerConfig(n_pes=8)).schedule
+        walks: list[int] = []
+        scratch_completion = Schedule._scratch_completion
+
+        def spy(self, pe, fire):
+            walks.append(pe)
+            return scratch_completion(self, pe, fire)
+
+        monkeypatch.setattr(Schedule, "_scratch_completion", spy)
+        clone = sched.with_dag(case.dag)  # fresh, unverified caches
+        with collect_metrics() as m:
+            clone.makespan()
+        assert walks == list(range(8))  # the makespan was cross-checked
+        assert m.counter("views.check.mismatches") == 0
+        with_makespan = m.counter("views.check.checked")
+        clone._makespan_rev = -1
+        with collect_metrics() as m:
+            clone._verify_incremental()
+        assert m.counter("views.check.checked") == with_makespan - 1
+        clone.makespan()
+
+        clone._makespan = Interval(0, 0)
+        with collect_metrics() as m, pytest.raises(AssertionError, match="makespan"):
+            clone._verify_incremental()
+        assert m.counter("views.check.mismatches") == 1
+        for table in ("_tail_lo", "_tail_hi", "_last_bid"):
+            broken = sched.with_dag(case.dag)
+            getattr(broken, table)[3] += 1
+            with pytest.raises(AssertionError, match="tail tables"):
+                broken._verify_incremental()
 
 
 class TestDigestParity:
