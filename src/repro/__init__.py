@@ -22,97 +22,63 @@ See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-vs-measured record of every table and figure.
 """
 
-from repro.timing import Interval, ZERO
-from repro.ir import (
-    BasicBlock,
-    DEFAULT_TIMING,
-    InstructionDAG,
-    Opcode,
-    TimingModel,
-    TupleProgram,
-    compile_block,
-    compile_source,
-    generate_tuples,
-    interpret,
-    optimize,
-    parse_block,
-)
-from repro.synth import BenchmarkCase, GeneratorConfig, generate_block, generate_corpus
-from repro.core import (
-    Schedule,
-    ScheduleResult,
-    SchedulerConfig,
-    SyncCounts,
-    schedule_dag,
-)
-from repro.barriers import Barrier, BarrierDag, BarrierMask, DominatorTree
-from repro.machine import (
-    DBMSimulator,
-    ExecutionTrace,
-    MachineProgram,
-    SBMSimulator,
-    UniformSampler,
-    VLIWSchedule,
-    simulate_conventional_mimd,
-    simulate_dbm,
-    simulate_sbm,
-    vliw_schedule,
-)
-from repro.metrics import SyncFractions, aggregate_results, fractions_of
-from repro.analysis import analyze_schedule
-from repro.io import load_program, program_from_json, program_to_json, save_program
-from repro.viz import render_barrier_dag, render_embedding, render_gantt
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Interval",
-    "ZERO",
-    "BasicBlock",
-    "DEFAULT_TIMING",
-    "InstructionDAG",
-    "Opcode",
-    "TimingModel",
-    "TupleProgram",
-    "compile_block",
-    "compile_source",
-    "generate_tuples",
-    "interpret",
-    "optimize",
-    "parse_block",
-    "BenchmarkCase",
-    "GeneratorConfig",
-    "generate_block",
-    "generate_corpus",
-    "Schedule",
-    "ScheduleResult",
-    "SchedulerConfig",
-    "SyncCounts",
-    "schedule_dag",
-    "Barrier",
-    "BarrierDag",
-    "BarrierMask",
-    "DominatorTree",
-    "DBMSimulator",
-    "ExecutionTrace",
-    "MachineProgram",
-    "SBMSimulator",
-    "UniformSampler",
-    "VLIWSchedule",
-    "simulate_conventional_mimd",
-    "simulate_dbm",
-    "simulate_sbm",
-    "vliw_schedule",
-    "SyncFractions",
-    "aggregate_results",
-    "fractions_of",
-    "render_barrier_dag",
-    "render_embedding",
-    "render_gantt",
-    "analyze_schedule",
-    "load_program",
-    "program_from_json",
-    "program_to_json",
-    "save_program",
-    "__version__",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.timing": ("Interval", "ZERO"),
+        "repro.ir": (
+            "BasicBlock",
+            "DEFAULT_TIMING",
+            "InstructionDAG",
+            "Opcode",
+            "TimingModel",
+            "TupleProgram",
+            "compile_block",
+            "compile_source",
+            "generate_tuples",
+            "interpret",
+            "optimize",
+            "parse_block",
+        ),
+        "repro.synth": (
+            "BenchmarkCase",
+            "GeneratorConfig",
+            "generate_block",
+            "generate_corpus",
+        ),
+        "repro.core": (
+            "Schedule",
+            "ScheduleResult",
+            "SchedulerConfig",
+            "SyncCounts",
+            "schedule_dag",
+        ),
+        "repro.barriers": ("Barrier", "BarrierDag", "BarrierMask", "DominatorTree"),
+        "repro.machine": (
+            "DBMSimulator",
+            "ExecutionTrace",
+            "MachineProgram",
+            "SBMSimulator",
+            "UniformSampler",
+            "VLIWSchedule",
+            "simulate_conventional_mimd",
+            "simulate_dbm",
+            "simulate_sbm",
+            "vliw_schedule",
+        ),
+        "repro.metrics": ("SyncFractions", "aggregate_results", "fractions_of"),
+        "repro.viz": ("render_barrier_dag", "render_embedding", "render_gantt"),
+        "repro.analysis": ("analyze_schedule",),
+        "repro.io": (
+            "load_program",
+            "program_from_json",
+            "program_to_json",
+            "save_program",
+        ),
+    },
+)
+__all__.append("__version__")

@@ -1,10 +1,15 @@
 """Schedule quality analysis and reporting."""
 
-from repro.analysis.report import (
-    BarrierStats,
-    ScheduleReport,
-    UtilizationStats,
-    analyze_schedule,
-)
+from repro._lazy import lazy_exports
 
-__all__ = ["BarrierStats", "UtilizationStats", "ScheduleReport", "analyze_schedule"]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.analysis.report": (
+            "BarrierStats",
+            "UtilizationStats",
+            "ScheduleReport",
+            "analyze_schedule",
+        ),
+    },
+)

@@ -8,25 +8,20 @@ dominating barrier, and the k-longest-path overlap analysis of the
 "optimal" insertion algorithm -- lives here.
 """
 
-from repro.barriers.model import Barrier
-from repro.barriers.dag import BarrierDag, BarrierEdge
-from repro.barriers.dominators import DominatorTree
-from repro.barriers.mask import BarrierMask
-from repro.barriers.paths import (
-    PathExplosionError,
-    all_paths,
-    k_longest_max_paths,
-    longest_min_path_with_forced_max,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Barrier",
-    "BarrierDag",
-    "BarrierEdge",
-    "DominatorTree",
-    "BarrierMask",
-    "PathExplosionError",
-    "all_paths",
-    "k_longest_max_paths",
-    "longest_min_path_with_forced_max",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.barriers.model": ("Barrier",),
+        "repro.barriers.dag": ("BarrierDag", "BarrierEdge"),
+        "repro.barriers.dominators": ("DominatorTree",),
+        "repro.barriers.mask": ("BarrierMask",),
+        "repro.barriers.paths": (
+            "PathExplosionError",
+            "all_paths",
+            "k_longest_max_paths",
+            "longest_min_path_with_forced_max",
+        ),
+    },
+)

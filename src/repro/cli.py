@@ -69,28 +69,6 @@ import sys
 from contextlib import contextmanager, nullcontext
 
 from repro.core.scheduler import SchedulerConfig, schedule_dag
-from repro.experiments import (
-    ablation_lookahead,
-    barrier_cost_experiment,
-    flow_overhead_experiment,
-    hybrid_experiment,
-    kernel_suite_experiment,
-    robustness_experiment,
-    sync_elimination_experiment,
-    ablation_ordering,
-    ablation_round_robin,
-    ablation_timing_variation,
-    figure14_scatter,
-    figure15_statements,
-    figure16_variables,
-    figure17_processors,
-    figure18_vliw,
-    merging_experiment,
-    optimal_vs_conservative,
-    overall_ranges,
-    secondary_effect,
-    table1_instruction_mix,
-)
 from repro.ir import compile_source, generate_tuples, optimize, parse_block
 from repro.ir.dag import InstructionDAG
 from repro.machine.durations import BimodalSampler, MaxSampler, MinSampler, UniformSampler
@@ -98,36 +76,45 @@ from repro.machine.program import MachineProgram
 from repro.machine.dbm import simulate_dbm
 from repro.machine.sbm import simulate_sbm
 from repro.obs.logging import configure as _configure_logging, get_logger
-from repro.perf.report import DEFAULT_TRAJECTORY
+from repro.perf import DEFAULT_TRAJECTORY
 from repro.perf.timers import stage
 from repro.synth.generator import GeneratorConfig, generate_block
-from repro.viz import render_barrier_dag, render_embedding, render_gantt
+from repro.viz.embedding import render_barrier_dag, render_embedding
+from repro.viz.gantt import render_gantt
 
 __all__ = ["main"]
 
 _LOG = get_logger("cli")
 
+#: ``experiment`` name -> runner, called with the :mod:`repro.experiments`
+#: package (imported only when an experiment runs) and the parsed args.
 _EXPERIMENTS = {
-    "table1": lambda args: table1_instruction_mix(),
-    "fig14": lambda args: figure14_scatter(count=args.count),
-    "fig15": lambda args: figure15_statements(count=args.count),
-    "fig16": lambda args: figure16_variables(count=args.count),
-    "fig17": lambda args: figure17_processors(count=args.count),
-    "fig18": lambda args: figure18_vliw(count=args.count),
-    "ranges": lambda args: overall_ranges(count_per_point=max(4, args.count // 4)),
-    "merging": lambda args: merging_experiment(count=args.count),
-    "roundrobin": lambda args: ablation_round_robin(count=args.count),
-    "ordering": lambda args: ablation_ordering(count=args.count),
-    "lookahead": lambda args: ablation_lookahead(count=args.count),
-    "timing": lambda args: ablation_timing_variation(count=args.count),
-    "secondary": lambda args: secondary_effect(count=args.count),
-    "optimal": lambda args: optimal_vs_conservative(count=args.count),
-    "barriercost": lambda args: barrier_cost_experiment(count=args.count),
-    "flowoverhead": lambda args: flow_overhead_experiment(count=args.count),
-    "kernels": lambda args: kernel_suite_experiment(synthetic_count=args.count),
-    "syncelim": lambda args: sync_elimination_experiment(count=args.count),
-    "robustness": lambda args: robustness_experiment(count=max(4, args.count // 4)),
-    "hybrid": lambda args: hybrid_experiment(
+    "table1": lambda ex, args: ex.table1_instruction_mix(),
+    "fig14": lambda ex, args: ex.figure14_scatter(count=args.count),
+    "fig15": lambda ex, args: ex.figure15_statements(count=args.count),
+    "fig16": lambda ex, args: ex.figure16_variables(count=args.count),
+    "fig17": lambda ex, args: ex.figure17_processors(count=args.count),
+    "fig18": lambda ex, args: ex.figure18_vliw(count=args.count),
+    "ranges": lambda ex, args: ex.overall_ranges(
+        count_per_point=max(4, args.count // 4)
+    ),
+    "merging": lambda ex, args: ex.merging_experiment(count=args.count),
+    "roundrobin": lambda ex, args: ex.ablation_round_robin(count=args.count),
+    "ordering": lambda ex, args: ex.ablation_ordering(count=args.count),
+    "lookahead": lambda ex, args: ex.ablation_lookahead(count=args.count),
+    "timing": lambda ex, args: ex.ablation_timing_variation(count=args.count),
+    "secondary": lambda ex, args: ex.secondary_effect(count=args.count),
+    "optimal": lambda ex, args: ex.optimal_vs_conservative(count=args.count),
+    "barriercost": lambda ex, args: ex.barrier_cost_experiment(count=args.count),
+    "flowoverhead": lambda ex, args: ex.flow_overhead_experiment(count=args.count),
+    "kernels": lambda ex, args: ex.kernel_suite_experiment(
+        synthetic_count=args.count
+    ),
+    "syncelim": lambda ex, args: ex.sync_elimination_experiment(count=args.count),
+    "robustness": lambda ex, args: ex.robustness_experiment(
+        count=max(4, args.count // 4)
+    ),
+    "hybrid": lambda ex, args: ex.hybrid_experiment(
         count=max(4, args.count // 4), jobs=None
     ),
 }
@@ -1018,8 +1005,10 @@ def _perf_env(args, cache: bool | None = None):
 
 
 def _cmd_experiment(args) -> int:
+    import repro.experiments
+
     with _perf_env(args, cache=not args.no_cache):
-        result = _EXPERIMENTS[args.name](args)
+        result = _EXPERIMENTS[args.name](repro.experiments, args)
     print(result.render())
     return 0
 

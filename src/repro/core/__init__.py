@@ -6,78 +6,48 @@ barrier insertion (4.4.1-4.4.2), SBM barrier merging (4.4.3), and a final
 soundness validation sweep.
 """
 
-from repro.timing import Interval, ZERO, interval_max, interval_sum
-from repro.core.labeling import compute_heights, critical_path_nodes
-from repro.core.ordering import order_nodes
-from repro.core.assignment import (
-    ListPolicy,
-    LookaheadPolicy,
-    RoundRobinPolicy,
-    make_policy,
-)
-from repro.core.schedule import Item, Schedule
-from repro.core.barrier_insert import (
-    BarrierInserter,
-    EdgeResolution,
-    ResolutionKind,
-    TimingQuantities,
-    classify_edge,
-    timing_quantities,
-)
-from repro.core.merging import find_merge_candidate, merge_new_barrier
-from repro.core.validate import (
-    ScheduleError,
-    Violation,
-    check_structure,
-    find_violations,
-    repair_schedule,
-)
-from repro.core.sync_elimination import (
-    SyncEliminationResult,
-    compute_sync_bounds,
-    eliminate_directed_syncs,
-    simulate_directed,
-)
-from repro.core.scheduler import (
-    ScheduleResult,
-    SchedulerConfig,
-    SyncCounts,
-    schedule_dag,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Interval",
-    "ZERO",
-    "interval_max",
-    "interval_sum",
-    "compute_heights",
-    "critical_path_nodes",
-    "order_nodes",
-    "ListPolicy",
-    "LookaheadPolicy",
-    "RoundRobinPolicy",
-    "make_policy",
-    "Item",
-    "Schedule",
-    "BarrierInserter",
-    "EdgeResolution",
-    "ResolutionKind",
-    "TimingQuantities",
-    "classify_edge",
-    "timing_quantities",
-    "find_merge_candidate",
-    "merge_new_barrier",
-    "ScheduleError",
-    "Violation",
-    "check_structure",
-    "find_violations",
-    "repair_schedule",
-    "ScheduleResult",
-    "SchedulerConfig",
-    "SyncCounts",
-    "schedule_dag",
-    "SyncEliminationResult",
-    "compute_sync_bounds",
-    "eliminate_directed_syncs",
-    "simulate_directed",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.timing": ("Interval", "ZERO", "interval_max", "interval_sum"),
+        "repro.core.labeling": ("compute_heights", "critical_path_nodes"),
+        "repro.core.ordering": ("order_nodes",),
+        "repro.core.assignment": (
+            "ListPolicy",
+            "LookaheadPolicy",
+            "RoundRobinPolicy",
+            "make_policy",
+        ),
+        "repro.core.schedule": ("Item", "Schedule"),
+        "repro.core.barrier_insert": (
+            "BarrierInserter",
+            "EdgeResolution",
+            "ResolutionKind",
+            "TimingQuantities",
+            "classify_edge",
+            "timing_quantities",
+        ),
+        "repro.core.merging": ("find_merge_candidate", "merge_new_barrier"),
+        "repro.core.validate": (
+            "ScheduleError",
+            "Violation",
+            "check_structure",
+            "find_violations",
+            "repair_schedule",
+        ),
+        "repro.core.scheduler": (
+            "ScheduleResult",
+            "SchedulerConfig",
+            "SyncCounts",
+            "schedule_dag",
+        ),
+        "repro.core.sync_elimination": (
+            "SyncEliminationResult",
+            "compute_sync_bounds",
+            "eliminate_directed_syncs",
+            "simulate_directed",
+        ),
+    },
+)

@@ -33,69 +33,52 @@ E20    Extension: static vs hardened vs hybrid study       :func:`hybrid_experim
 =====  ==================================================  ==========================
 """
 
-from repro.experiments.sweeps import ExperimentPoint, run_corpus, run_point, sweep
-from repro.experiments.figures import (
-    figure14_scatter,
-    figure15_statements,
-    figure16_variables,
-    figure17_processors,
-    figure18_vliw,
-)
-from repro.experiments.archive import archive_corpus, load_archive, stats_from_archive
-from repro.experiments.flow_exp import flow_overhead_experiment
-from repro.experiments.kernels_exp import kernel_suite_experiment
-from repro.experiments.hybrid_exp import (
-    HybridPoint,
-    HybridResult,
-    hybrid_experiment,
-)
-from repro.experiments.robustness_exp import (
-    RobustnessResult,
-    robustness_experiment,
-)
-from repro.experiments.syncelim_exp import sync_elimination_experiment
-from repro.experiments.tables import (
-    ablation_lookahead,
-    barrier_cost_experiment,
-    ablation_ordering,
-    ablation_round_robin,
-    ablation_timing_variation,
-    merging_experiment,
-    optimal_vs_conservative,
-    overall_ranges,
-    secondary_effect,
-    table1_instruction_mix,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ExperimentPoint",
-    "run_corpus",
-    "run_point",
-    "sweep",
-    "figure14_scatter",
-    "figure15_statements",
-    "figure16_variables",
-    "figure17_processors",
-    "figure18_vliw",
-    "table1_instruction_mix",
-    "overall_ranges",
-    "merging_experiment",
-    "ablation_round_robin",
-    "ablation_ordering",
-    "ablation_lookahead",
-    "ablation_timing_variation",
-    "secondary_effect",
-    "optimal_vs_conservative",
-    "barrier_cost_experiment",
-    "flow_overhead_experiment",
-    "kernel_suite_experiment",
-    "archive_corpus",
-    "load_archive",
-    "stats_from_archive",
-    "sync_elimination_experiment",
-    "RobustnessResult",
-    "robustness_experiment",
-    "HybridPoint",
-    "HybridResult",
-    "hybrid_experiment",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.experiments.sweeps": (
+            "ExperimentPoint",
+            "run_corpus",
+            "run_point",
+            "sweep",
+        ),
+        "repro.experiments.figures": (
+            "figure14_scatter",
+            "figure15_statements",
+            "figure16_variables",
+            "figure17_processors",
+            "figure18_vliw",
+        ),
+        "repro.experiments.tables": (
+            "table1_instruction_mix",
+            "overall_ranges",
+            "merging_experiment",
+            "ablation_round_robin",
+            "ablation_ordering",
+            "ablation_lookahead",
+            "ablation_timing_variation",
+            "secondary_effect",
+            "optimal_vs_conservative",
+            "barrier_cost_experiment",
+        ),
+        "repro.experiments.flow_exp": ("flow_overhead_experiment",),
+        "repro.experiments.kernels_exp": ("kernel_suite_experiment",),
+        "repro.experiments.archive": (
+            "archive_corpus",
+            "load_archive",
+            "stats_from_archive",
+        ),
+        "repro.experiments.syncelim_exp": ("sync_elimination_experiment",),
+        "repro.experiments.robustness_exp": (
+            "RobustnessResult",
+            "robustness_experiment",
+        ),
+        "repro.experiments.hybrid_exp": (
+            "HybridPoint",
+            "HybridResult",
+            "hybrid_experiment",
+        ),
+    },
+)

@@ -21,34 +21,28 @@ hardware violates those intervals?
     (:func:`harden_schedule`).
 """
 
-from repro.faults.model import (
-    FaultPlan,
-    FaultySampler,
-    FaultyController,
-    inflate_dag,
-)
-from repro.faults.margin import EdgeMargin, MarginReport, robustness_margin
-from repro.faults.campaign import (
-    EdgeBlame,
-    CampaignReport,
-    campaign_digest,
-    run_campaign,
-)
-from repro.faults.harden import HardeningReport, harden_schedule, straggler_nodes
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "FaultPlan",
-    "FaultySampler",
-    "FaultyController",
-    "inflate_dag",
-    "EdgeMargin",
-    "MarginReport",
-    "robustness_margin",
-    "EdgeBlame",
-    "CampaignReport",
-    "campaign_digest",
-    "run_campaign",
-    "HardeningReport",
-    "harden_schedule",
-    "straggler_nodes",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.faults.model": (
+            "FaultPlan",
+            "FaultySampler",
+            "FaultyController",
+            "inflate_dag",
+        ),
+        "repro.faults.margin": ("EdgeMargin", "MarginReport", "robustness_margin"),
+        "repro.faults.campaign": (
+            "EdgeBlame",
+            "CampaignReport",
+            "campaign_digest",
+            "run_campaign",
+        ),
+        "repro.faults.harden": (
+            "HardeningReport",
+            "harden_schedule",
+            "straggler_nodes",
+        ),
+    },
+)

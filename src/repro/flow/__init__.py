@@ -25,24 +25,16 @@ Everything here is an extension beyond the 1990 paper and is marked as
 such in DESIGN.md; the core reproduction does not depend on it.
 """
 
-from repro.flow.ast import FlowProgram, IfStmt, WhileStmt
-from repro.flow.parser import parse_program
-from repro.flow.cfg import CFG, BasicBlockNode, build_cfg
-from repro.flow.interp import run_program
-from repro.flow.schedule import FlowSchedule, schedule_program
-from repro.flow.executor import FlowTrace, execute_flow_schedule
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "FlowProgram",
-    "IfStmt",
-    "WhileStmt",
-    "parse_program",
-    "CFG",
-    "BasicBlockNode",
-    "build_cfg",
-    "run_program",
-    "FlowSchedule",
-    "schedule_program",
-    "FlowTrace",
-    "execute_flow_schedule",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.flow.ast": ("FlowProgram", "IfStmt", "WhileStmt"),
+        "repro.flow.parser": ("parse_program",),
+        "repro.flow.cfg": ("CFG", "BasicBlockNode", "build_cfg"),
+        "repro.flow.interp": ("run_program",),
+        "repro.flow.schedule": ("FlowSchedule", "schedule_program"),
+        "repro.flow.executor": ("FlowTrace", "execute_flow_schedule"),
+    },
+)

@@ -8,18 +8,18 @@ barriers natively while the engine resolves guards under a
 timeout/bounded-retry watchdog (:class:`~repro.machine.engine.GuardPolicy`).
 """
 
-from repro.hybrid.controller import HybridController
-from repro.hybrid.plan import (
-    EdgeDemotion,
-    HybridPlan,
-    hybrid_program,
-    hybridize_schedule,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "EdgeDemotion",
-    "HybridController",
-    "HybridPlan",
-    "hybrid_program",
-    "hybridize_schedule",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.hybrid.plan": (
+            "EdgeDemotion",
+            "HybridPlan",
+            "hybrid_program",
+            "hybridize_schedule",
+        ),
+        "repro.hybrid.controller": ("HybridController",),
+    },
+)
+__all__.sort()

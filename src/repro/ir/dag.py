@@ -20,13 +20,14 @@ provided for interoperability.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Iterator, Mapping
-
-import networkx as nx
+from typing import TYPE_CHECKING, Hashable, Iterable, Iterator, Mapping
 
 from repro.timing import Interval, ZERO
 from repro.ir.ops import TimingModel, DEFAULT_TIMING
 from repro.ir.tuples import IRTuple, TupleProgram
+
+if TYPE_CHECKING:  # imported by to_networkx, off the start-up path
+    import networkx as nx
 
 __all__ = ["NodeId", "ENTRY", "EXIT", "CycleError", "InstructionDAG"]
 
@@ -222,6 +223,8 @@ class InstructionDAG:
     # -- interoperability ----------------------------------------------------------
 
     def to_networkx(self, include_dummies: bool = False) -> "nx.DiGraph":
+        import networkx as nx
+
         graph = nx.DiGraph()
         nodes = self._topo if include_dummies else self.real_nodes
         for node in nodes:

@@ -19,44 +19,25 @@ random draws and asserting every producer finishes before its consumers
 start is the system-level soundness oracle used by the test suite.
 """
 
-from repro.machine.durations import (
-    BimodalSampler,
-    DurationSampler,
-    FixedSampler,
-    MaxSampler,
-    MinSampler,
-    UniformSampler,
-)
-from repro.machine.program import BarrierRef, MachineOp, MachineProgram
-from repro.machine.trace import DeadlockError, ExecutionTrace, OrderViolation
-from repro.machine.sbm import SBMSimulator, simulate_sbm
-from repro.machine.dbm import DBMSimulator, simulate_dbm
-from repro.machine.vliw import VLIWSchedule, vliw_schedule
-from repro.machine.mimd import ConventionalMIMDResult, simulate_conventional_mimd
-from repro.machine.rtl import ClockedDBM, ClockedSBM, run_clocked
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BimodalSampler",
-    "DurationSampler",
-    "FixedSampler",
-    "MaxSampler",
-    "MinSampler",
-    "UniformSampler",
-    "BarrierRef",
-    "MachineOp",
-    "MachineProgram",
-    "DeadlockError",
-    "ExecutionTrace",
-    "OrderViolation",
-    "SBMSimulator",
-    "simulate_sbm",
-    "DBMSimulator",
-    "simulate_dbm",
-    "VLIWSchedule",
-    "vliw_schedule",
-    "ConventionalMIMDResult",
-    "simulate_conventional_mimd",
-    "ClockedDBM",
-    "ClockedSBM",
-    "run_clocked",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.machine.durations": (
+            "BimodalSampler",
+            "DurationSampler",
+            "FixedSampler",
+            "MaxSampler",
+            "MinSampler",
+            "UniformSampler",
+        ),
+        "repro.machine.program": ("BarrierRef", "MachineOp", "MachineProgram"),
+        "repro.machine.trace": ("DeadlockError", "ExecutionTrace", "OrderViolation"),
+        "repro.machine.sbm": ("SBMSimulator", "simulate_sbm"),
+        "repro.machine.dbm": ("DBMSimulator", "simulate_dbm"),
+        "repro.machine.vliw": ("VLIWSchedule", "vliw_schedule"),
+        "repro.machine.mimd": ("ConventionalMIMDResult", "simulate_conventional_mimd"),
+        "repro.machine.rtl": ("ClockedDBM", "ClockedSBM", "run_clocked"),
+    },
+)

@@ -1,26 +1,21 @@
 """Synchronization metrics and corpus statistics (paper section 3.1/5)."""
 
-from repro.metrics.fractions import SyncFractions, fractions_of
-from repro.metrics.robustness import (
-    CaseRobustness,
-    RobustnessPoint,
-    aggregate_robustness,
-)
-from repro.metrics.stats import (
-    CorpusStats,
-    FractionAggregate,
-    aggregate_fractions,
-    aggregate_results,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "SyncFractions",
-    "fractions_of",
-    "CorpusStats",
-    "FractionAggregate",
-    "aggregate_fractions",
-    "aggregate_results",
-    "CaseRobustness",
-    "RobustnessPoint",
-    "aggregate_robustness",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.metrics.fractions": ("SyncFractions", "fractions_of"),
+        "repro.metrics.stats": (
+            "CorpusStats",
+            "FractionAggregate",
+            "aggregate_fractions",
+            "aggregate_results",
+        ),
+        "repro.metrics.robustness": (
+            "CaseRobustness",
+            "RobustnessPoint",
+            "aggregate_robustness",
+        ),
+    },
+)

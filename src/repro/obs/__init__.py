@@ -28,84 +28,54 @@ Everything exported here is stdlib-only so any pipeline module may
 import it without cycles; see docs/observability.md for the full tour.
 """
 
-from repro.obs.metrics import (
-    HistogramStat,
-    MetricsRegistry,
-    collect_metrics,
-    current_registry,
-    inc,
-    observe,
-)
-from repro.obs.prof import (
-    KernelStat,
-    Profiler,
-    collect_profile,
-    current_profiler,
-    folded_stacks,
-    track_gc,
-    write_folded,
-)
-from repro.obs.progress import (
-    JSONLSink,
-    ProgressMeter,
-    TTYStatusSink,
-    collect_progress,
-    current_meter,
-)
-from repro.obs.provenance import (
-    AssignmentDecision,
-    BarrierDecision,
-    MergeDecision,
-    ProvenanceRecorder,
-    collect_provenance,
-    current_recorder,
-    record_assignment,
-    record_barrier,
-    record_merge,
-)
-from repro.obs.spans import (
-    Span,
-    SpanTracer,
-    TraceEvent,
-    collect_trace,
-    current_tracer,
-    event,
-    span,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "HistogramStat",
-    "MetricsRegistry",
-    "collect_metrics",
-    "current_registry",
-    "inc",
-    "observe",
-    "KernelStat",
-    "Profiler",
-    "collect_profile",
-    "current_profiler",
-    "folded_stacks",
-    "track_gc",
-    "write_folded",
-    "JSONLSink",
-    "ProgressMeter",
-    "TTYStatusSink",
-    "collect_progress",
-    "current_meter",
-    "AssignmentDecision",
-    "BarrierDecision",
-    "MergeDecision",
-    "ProvenanceRecorder",
-    "collect_provenance",
-    "current_recorder",
-    "record_assignment",
-    "record_barrier",
-    "record_merge",
-    "Span",
-    "SpanTracer",
-    "TraceEvent",
-    "collect_trace",
-    "current_tracer",
-    "event",
-    "span",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.obs.metrics": (
+            "HistogramStat",
+            "MetricsRegistry",
+            "collect_metrics",
+            "current_registry",
+            "inc",
+            "observe",
+        ),
+        "repro.obs.prof": (
+            "KernelStat",
+            "Profiler",
+            "collect_profile",
+            "current_profiler",
+            "folded_stacks",
+            "track_gc",
+            "write_folded",
+        ),
+        "repro.obs.progress": (
+            "JSONLSink",
+            "ProgressMeter",
+            "TTYStatusSink",
+            "collect_progress",
+            "current_meter",
+        ),
+        "repro.obs.provenance": (
+            "AssignmentDecision",
+            "BarrierDecision",
+            "MergeDecision",
+            "ProvenanceRecorder",
+            "collect_provenance",
+            "current_recorder",
+            "record_assignment",
+            "record_barrier",
+            "record_merge",
+        ),
+        "repro.obs.spans": (
+            "Span",
+            "SpanTracer",
+            "TraceEvent",
+            "collect_trace",
+            "current_tracer",
+            "event",
+            "span",
+        ),
+    },
+)

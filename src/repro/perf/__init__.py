@@ -14,39 +14,41 @@ makes that affordable at full scale:
 * :mod:`repro.perf.report` -- the ``repro-sbm perf`` harness emitting
   ``BENCH_*.json`` trajectory records.
 
-Attributes are resolved lazily: the scheduler's hot path imports
-``repro.perf.timers`` directly, and an eager re-export here would close
-an import cycle through ``metrics.stats`` back into the scheduler.
+Attributes are resolved on first access (:mod:`repro._lazy`): the
+scheduler's hot path imports ``repro.perf.timers`` directly, and an
+eager re-export here would close an import cycle through
+``metrics.stats`` back into the scheduler.
 
 See ``docs/performance.md`` for the operator-facing guide.
 """
 
-from typing import Any
+from pathlib import Path
 
-_EXPORTS = {
-    "StageTimings": "repro.perf.timers",
-    "collect_timings": "repro.perf.timers",
-    "stage": "repro.perf.timers",
-    "fork_available": "repro.perf.parallel",
-    "resolve_jobs": "repro.perf.parallel",
-    "results_digest": "repro.perf.parallel",
-    "run_cases_parallel": "repro.perf.parallel",
-    "cache_dir": "repro.perf.cache",
-    "resolve_cache": "repro.perf.cache",
-    "point_cache_key": "repro.perf.cache",
-    "load_point_stats": "repro.perf.cache",
-    "store_point_stats": "repro.perf.cache",
-    "PerfReport": "repro.perf.report",
-    "run_perf_report": "repro.perf.report",
-}
+from repro._lazy import lazy_exports
 
-__all__ = sorted(_EXPORTS)
+#: Where ``repro-sbm perf`` appends its trajectory series by default
+#: (relative to the working directory).  Defined here so the argument
+#: parser can name it without importing the harness.
+DEFAULT_TRAJECTORY = Path("benchmarks") / "data" / "BENCH_trajectory.jsonl"
 
-
-def __getattr__(name: str) -> Any:
-    module_name = _EXPORTS.get(name)
-    if module_name is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    return getattr(importlib.import_module(module_name), name)
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.perf.timers": ("StageTimings", "collect_timings", "stage"),
+        "repro.perf.parallel": (
+            "fork_available",
+            "resolve_jobs",
+            "results_digest",
+            "run_cases_parallel",
+        ),
+        "repro.perf.cache": (
+            "cache_dir",
+            "resolve_cache",
+            "point_cache_key",
+            "load_point_stats",
+            "store_point_stats",
+        ),
+        "repro.perf.report": ("PerfReport", "run_perf_report"),
+    },
+)
+__all__.sort()

@@ -5,16 +5,13 @@ instruction-mix frequencies of Table 1, plus a corpus driver that
 compiles each block through the :mod:`repro.ir` pipeline.
 """
 
-from repro.synth.generator import GeneratorConfig, generate_block
-from repro.synth.corpus import BenchmarkCase, generate_cases, generate_corpus
-from repro.synth.flowgen import FlowGeneratorConfig, generate_flow_program
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "GeneratorConfig",
-    "generate_block",
-    "BenchmarkCase",
-    "generate_cases",
-    "generate_corpus",
-    "FlowGeneratorConfig",
-    "generate_flow_program",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.synth.generator": ("GeneratorConfig", "generate_block"),
+        "repro.synth.corpus": ("BenchmarkCase", "generate_cases", "generate_corpus"),
+        "repro.synth.flowgen": ("FlowGeneratorConfig", "generate_flow_program"),
+    },
+)

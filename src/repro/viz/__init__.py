@@ -7,15 +7,13 @@
 fire-time windows.
 """
 
-from repro.viz.embedding import render_embedding, render_barrier_dag
-from repro.viz.gantt import render_gantt
-from repro.viz.dot import barrier_dag_to_dot, cfg_to_dot, instruction_dag_to_dot
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "render_embedding",
-    "render_barrier_dag",
-    "render_gantt",
-    "barrier_dag_to_dot",
-    "cfg_to_dot",
-    "instruction_dag_to_dot",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.viz.embedding": ("render_embedding", "render_barrier_dag"),
+        "repro.viz.gantt": ("render_gantt",),
+        "repro.viz.dot": ("barrier_dag_to_dot", "cfg_to_dot", "instruction_dag_to_dot"),
+    },
+)

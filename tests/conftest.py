@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import os
 import random
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.timing import Interval
 from repro.ir import compile_source, parse_block
 from repro.ir.dag import InstructionDAG
@@ -91,3 +94,10 @@ def diamond_dag() -> InstructionDAG:
     }
     edges = [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")]
     return InstructionDAG.build(latencies, edges)
+
+
+def child_env() -> dict[str, str]:
+    """Environment for a child interpreter that imports this ``repro``."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
