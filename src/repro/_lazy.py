@@ -4,8 +4,8 @@ A package ``__init__`` names the submodule that defines each of its
 public names instead of importing them all; the submodule is imported
 the first time one of its names is read.  So ``import repro`` -- or
 ``import repro.core`` -- costs only what the caller touches, and a
-one-block ``repro-sbm schedule`` never loads numpy, networkx or the
-experiment harness.
+one-block ``repro-sbm schedule`` never loads numpy or the experiment
+harness.
 
 Resolved values are looked up on every access rather than copied into
 the package namespace, so a name patched on its defining module (as a

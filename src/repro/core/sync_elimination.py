@@ -9,7 +9,7 @@ barrier scheduler produced, but with **directed** producer/consumer
 synchronizations (flags/messages) instead of barriers -- one per
 cross-processor DAG edge, as in figure 3.  Prior art removes directed
 syncs implied by the *structure* of the task graph (Shaffer's transitive
-reduction, already available in :mod:`repro.machine.mimd`).  The paper's
+reduction, :func:`repro.machine.mimd.structural_syncs`).  The paper's
 insight is that `[min,max]` **timing** knowledge removes more:
 
     a directed sync ``(g, i)`` is redundant if, under the remaining
@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from repro.core.schedule import Schedule
 from repro.machine.durations import DurationSampler, UniformSampler
 from repro.timing import Interval, ZERO
-from repro.ir.dag import NodeId
+from repro.ir.dag import InstructionDAG, NodeId
 
 __all__ = [
     "SyncEliminationResult",
@@ -53,6 +53,17 @@ __all__ = [
     "eliminate_directed_syncs",
     "simulate_directed",
 ]
+
+
+def _cross_edges(
+    dag: InstructionDAG, schedule: Schedule
+) -> list[tuple[NodeId, NodeId]]:
+    """DAG edges whose producer and consumer run on different processors."""
+    return [
+        (g, i)
+        for g, i in dag.real_edges()
+        if schedule.processor_of(g) != schedule.processor_of(i)
+    ]
 
 
 def _per_pe_chains(schedule: Schedule) -> dict[NodeId, NodeId]:
@@ -147,7 +158,7 @@ def eliminate_directed_syncs(
     """Remove timing-redundant directed synchronizations.
 
     ``start_from`` optionally restricts the initial sync set (e.g. the
-    transitively reduced set from :func:`repro.machine.mimd.directed_sync_counts`,
+    transitively reduced set from :func:`repro.machine.mimd.structural_syncs`,
     to measure how much timing removes *beyond* structure); the default
     is one directed sync per cross-processor DAG edge.
 
@@ -155,11 +166,7 @@ def eliminate_directed_syncs(
     edges by program order, removed cross edges by the timing proof
     against the final retained set (re-verified at the end).
     """
-    cross = [
-        (g, i)
-        for g, i in schedule.dag.real_edges()
-        if schedule.processor_of(g) != schedule.processor_of(i)
-    ]
+    cross = _cross_edges(schedule.dag, schedule)
     retained: set[tuple[NodeId, NodeId]] = set(
         cross if start_from is None else start_from
     )

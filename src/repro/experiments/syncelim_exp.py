@@ -24,7 +24,7 @@ import numpy as np
 from repro.core.scheduler import SchedulerConfig, schedule_dag
 from repro.core.sync_elimination import eliminate_directed_syncs
 from repro.experiments.render import table
-from repro.machine.mimd import directed_sync_counts, _combined_task_graph
+from repro.machine.mimd import structural_syncs
 from repro.synth.corpus import generate_cases
 from repro.synth.generator import GeneratorConfig
 
@@ -70,8 +70,6 @@ def sync_elimination_experiment(
     n_variables: int = 10,
 ) -> SyncEliminationStats:
     """Run the four regimes over one corpus."""
-    import networkx as nx
-
     gen = GeneratorConfig(n_statements=n_statements, n_variables=n_variables)
     naive, structural, timing, combined, barriers = [], [], [], [], []
     for case in generate_cases(gen, count, master_seed):
@@ -79,22 +77,12 @@ def sync_elimination_experiment(
             case.dag, SchedulerConfig(n_pes=n_pes, seed=case.seed & 0xFFFFFFFF)
         )
         schedule = result.schedule
-        n_naive, n_reduced = directed_sync_counts(case.dag, schedule)
+        reduced = structural_syncs(schedule)
         elim = eliminate_directed_syncs(schedule)
+        both = eliminate_directed_syncs(schedule, start_from=reduced)
 
-        reduced_graph = nx.transitive_reduction(
-            _combined_task_graph(case.dag, schedule)
-        )
-        reduced_set = {
-            (g, i)
-            for g, i in case.dag.real_edges()
-            if schedule.processor_of(g) != schedule.processor_of(i)
-            and reduced_graph.has_edge(g, i)
-        }
-        both = eliminate_directed_syncs(schedule, start_from=reduced_set)
-
-        naive.append(n_naive)
-        structural.append(n_reduced)
+        naive.append(elim.naive)
+        structural.append(len(reduced))
         timing.append(elim.n_retained)
         combined.append(both.n_retained)
         barriers.append(result.counts.barriers_final)

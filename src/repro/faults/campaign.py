@@ -33,13 +33,9 @@ compiler bug, and says so.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
-import multiprocessing
-import pickle
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -57,7 +53,7 @@ from repro.machine.engine import GuardPolicy, run_machine
 from repro.machine.program import MachineProgram
 from repro.machine.sbm import SBMController
 from repro.machine.trace import DeadlockError, GuardStall
-from repro.perf.parallel import fork_available, resolve_jobs
+from repro.perf.parallel import fork_available, ordered_pool, resolve_jobs
 from repro.timing import Interval
 
 if TYPE_CHECKING:  # upper layer; only the guard table is consumed
@@ -293,10 +289,11 @@ class _RunOutcome:
     note: str = ""
 
 
-def _execute_spec(
-    ctx: tuple[MachineProgram, str, FaultPlan, GuardPolicy | None],
-    spec: _RunSpec,
-) -> _RunOutcome:
+#: What every run of one campaign shares: program, machine, plan, guard policy.
+_Context = tuple[MachineProgram, str, FaultPlan, "GuardPolicy | None"]
+
+
+def _execute_spec(ctx: _Context, spec: _RunSpec) -> _RunOutcome:
     """Execute one spec (worker-side; must stay importable for pickling)."""
     program, machine, plan, guard_policy = ctx
     rng = random.Random(spec.seed)
@@ -339,29 +336,37 @@ def _execute_spec(
     )
 
 
+def _execute_slice(
+    task: tuple[_Context, list[_RunSpec]],
+) -> list[_RunOutcome]:
+    """Worker: execute one slice of specs in order."""
+    ctx, specs = task
+    return [_execute_spec(ctx, spec) for spec in specs]
+
+
 def _execute_all(
-    ctx: tuple[MachineProgram, str, FaultPlan, GuardPolicy | None],
+    ctx: _Context,
     specs: list[_RunSpec],
     jobs: int,
 ) -> list[_RunOutcome]:
-    """Run every spec, on a fork pool when asked and possible.
+    """Run every spec, on :func:`~repro.perf.parallel.ordered_pool` when
+    asked and possible.
 
-    Outcomes come back in spec order regardless of worker scheduling,
-    and every per-run rng is derived from the spec's own seed, so the
+    Slices come back in spec order regardless of worker scheduling, and
+    every per-run rng is derived from the spec's own seed, so the
     parallel path is bit-identical to the serial one (pinned by the
-    digest-parity regression test, mirroring ``repro.perf.parallel``).
+    digest-parity regression test).  The pool folds each worker's
+    metrics, timings and spans into the caller's collectors.
     """
-    runner = functools.partial(_execute_spec, ctx)
     if jobs > 1 and len(specs) > 1 and fork_available():
-        try:
-            pickle.dumps(ctx)
-        except Exception:
-            return [runner(spec) for spec in specs]
-        mp = multiprocessing.get_context("fork")
-        chunk = max(1, len(specs) // (jobs * 4))
-        with ProcessPoolExecutor(max_workers=jobs, mp_context=mp) as pool:
-            return list(pool.map(runner, specs, chunksize=chunk))
-    return [runner(spec) for spec in specs]
+        size = max(1, len(specs) // (jobs * 4))
+        tasks = ((ctx, specs[lo:lo + size]) for lo in range(0, len(specs), size))
+        return [
+            outcome
+            for outcomes in ordered_pool(_execute_slice, tasks, jobs)
+            for outcome in outcomes
+        ]
+    return _execute_slice((ctx, specs))
 
 
 def run_campaign(

@@ -10,27 +10,37 @@ proceed.  Two baselines are computed for a given processor assignment:
   synchronizations implied by the *structure* of the task graph (program
   order chains plus other synchronizations).  This is the strongest prior
   technique the paper compares its timing-based elimination against.
+  :func:`structural_syncs` computes the surviving set in one bitset sweep.
 
 :func:`simulate_conventional_mimd` also executes the assignment under a
-duration sampler, charging ``sync_latency`` time units to every retained
-directed synchronization on the consumer side -- quantifying the runtime
-cost the barrier MIMD avoids.
+duration sampler on :func:`~repro.core.sync_elimination.simulate_directed`
+(the executor the timing-based elimination is checked with), charging
+``sync_latency`` time units to every retained directed synchronization
+on the consumer side -- quantifying the runtime cost the barrier MIMD
+avoids.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping
+from typing import Mapping
 
 from repro.core.schedule import Schedule
-from repro.machine.durations import DurationSampler, UniformSampler
+from repro.core.sync_elimination import (
+    _cross_edges,
+    _topo_nodes,
+    simulate_directed,
+)
+from repro.machine.durations import DurationSampler
 from repro.ir.dag import InstructionDAG, NodeId
 
-if TYPE_CHECKING:  # imported where used, off the start-up path
-    import networkx as nx
-
-__all__ = ["ConventionalMIMDResult", "directed_sync_counts", "simulate_conventional_mimd"]
+__all__ = [
+    "ConventionalMIMDResult",
+    "directed_sync_counts",
+    "simulate_conventional_mimd",
+    "structural_syncs",
+]
 
 
 @dataclass(frozen=True)
@@ -51,20 +61,31 @@ class ConventionalMIMDResult:
         return 1.0 - self.n_after_reduction / self.n_cross_edges
 
 
-def _combined_task_graph(
-    dag: InstructionDAG, schedule: Schedule
-) -> "nx.DiGraph":
-    """DAG edges plus per-processor program-order chain edges."""
-    import networkx as nx
+def structural_syncs(schedule: Schedule) -> set[tuple[NodeId, NodeId]]:
+    """Cross-processor DAG edges surviving transitive reduction of the
+    task graph (DAG edges plus per-processor program-order chains).
 
-    graph = nx.DiGraph()
-    graph.add_nodes_from(dag.real_nodes)
-    graph.add_edges_from(dag.real_edges())
-    for pe in range(schedule.n_pes):
-        chain = schedule.instructions_on(pe)
-        for a, b in zip(chain, chain[1:]):
-            graph.add_edge(a, b)
-    return graph
+    A cross edge ``(g, i)`` is implied by structure iff ``g`` is an
+    ancestor of another predecessor of ``i``.  The chains plus the cross
+    edges order exactly what the DAG plus the chains order (a
+    same-processor DAG edge runs along its chain), so one topological
+    sweep of Python-int ancestor bitsets over that sync graph decides
+    every edge -- the idiom of ``BarrierDag._descendant_bits``.
+    """
+    cross = _cross_edges(schedule.dag, schedule)
+    order, preds = _topo_nodes(schedule, set(cross))
+    bit = {node: 1 << k for k, node in enumerate(order)}
+    ancestors: dict[NodeId, int] = {}
+    # ancestors of a node's predecessors, the predecessors themselves excluded
+    implied: dict[NodeId, int] = {}
+    for node in order:
+        via = direct = 0
+        for p in preds[node]:
+            via |= ancestors[p]
+            direct |= bit[p]
+        implied[node] = via
+        ancestors[node] = via | direct
+    return {(g, i) for g, i in cross if not implied[i] & bit[g]}
 
 
 def directed_sync_counts(
@@ -76,17 +97,7 @@ def directed_sync_counts(
     reduction of the combined task graph -- the graph-structural
     elimination of [Shaf89]/[Call87], which cannot exploit timing.
     """
-    import networkx as nx
-
-    cross = [
-        (g, i)
-        for g, i in dag.real_edges()
-        if schedule.processor_of(g) != schedule.processor_of(i)
-    ]
-    combined = _combined_task_graph(dag, schedule)
-    reduced = nx.transitive_reduction(combined)
-    surviving = sum(1 for g, i in cross if reduced.has_edge(g, i))
-    return len(cross), surviving
+    return len(_cross_edges(dag, schedule)), len(structural_syncs(schedule))
 
 
 def simulate_conventional_mimd(
@@ -101,39 +112,14 @@ def simulate_conventional_mimd(
     retained cross-processor producers additionally waits for each
     producer's finish plus ``sync_latency`` (flag transit time, the
     unbounded-delay hazard of figure 3 made concrete)."""
-    import networkx as nx
-
-    sampler = sampler or UniformSampler()
-    if rng is None or isinstance(rng, int):
-        rng = random.Random(rng)
-    dag = schedule.dag
-
-    naive, reduced_count = directed_sync_counts(dag, schedule)
-    combined = _combined_task_graph(dag, schedule)
-    reduced = nx.transitive_reduction(combined)
-
-    start: dict[NodeId, int] = {}
-    finish: dict[NodeId, int] = {}
-    for node in nx.topological_sort(combined):
-        ready = 0
-        pe = schedule.processor_of(node)
-        for g in combined.predecessors(node):
-            if schedule.processor_of(g) == pe:
-                ready = max(ready, finish[g])
-            elif reduced.has_edge(g, node):
-                ready = max(ready, finish[g] + sync_latency)
-            else:
-                # Synchronization removed by transitive reduction: the
-                # ordering is still guaranteed through retained edges.
-                ready = max(ready, finish[g])
-        start[node] = ready
-        finish[node] = ready + sampler.sample(node, dag.latency(node), rng)
-
-    makespan = max(finish.values(), default=0)
+    retained = structural_syncs(schedule)
+    start, finish = simulate_directed(
+        schedule, retained, sampler, rng, sync_latency
+    )
     return ConventionalMIMDResult(
-        n_cross_edges=naive,
-        n_after_reduction=reduced_count,
-        makespan=makespan,
+        n_cross_edges=len(_cross_edges(schedule.dag, schedule)),
+        n_after_reduction=len(retained),
+        makespan=max(finish.values(), default=0),
         start=start,
         finish=finish,
     )

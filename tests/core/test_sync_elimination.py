@@ -15,7 +15,8 @@ from repro.core.sync_elimination import (
 )
 from repro.ir.dag import InstructionDAG
 from repro.machine.durations import MaxSampler, MinSampler, UniformSampler
-from repro.machine.mimd import _combined_task_graph
+from repro.experiments import syncelim_exp
+from repro.machine.mimd import structural_syncs
 from repro.synth.corpus import compile_case
 from repro.synth.generator import GeneratorConfig
 
@@ -85,17 +86,8 @@ class TestElimination:
     def test_start_from_reduced_set(self):
         case = compile_case(GeneratorConfig(n_statements=40, n_variables=10), 5)
         result = schedule_dag(case.dag, SchedulerConfig(n_pes=8, seed=5))
-        schedule = result.schedule
-        reduced_graph = nx.transitive_reduction(
-            _combined_task_graph(case.dag, schedule)
-        )
-        reduced = {
-            (g, i)
-            for g, i in case.dag.real_edges()
-            if schedule.processor_of(g) != schedule.processor_of(i)
-            and reduced_graph.has_edge(g, i)
-        }
-        both = eliminate_directed_syncs(schedule, start_from=reduced)
+        reduced = structural_syncs(result.schedule)
+        both = eliminate_directed_syncs(result.schedule, start_from=reduced)
         assert both.n_retained <= len(reduced)
 
     def test_monotone_never_worse_than_naive(self):
@@ -124,16 +116,9 @@ class TestDynamicOracle:
         case = compile_case(GeneratorConfig(n_statements=50, n_variables=10), 9)
         result = schedule_dag(case.dag, SchedulerConfig(n_pes=8, seed=9))
         schedule = result.schedule
-        reduced_graph = nx.transitive_reduction(
-            _combined_task_graph(case.dag, schedule)
+        both = eliminate_directed_syncs(
+            schedule, start_from=structural_syncs(schedule)
         )
-        reduced = {
-            (g, i)
-            for g, i in case.dag.real_edges()
-            if schedule.processor_of(g) != schedule.processor_of(i)
-            and reduced_graph.has_edge(g, i)
-        }
-        both = eliminate_directed_syncs(schedule, start_from=reduced)
         for run in range(5):
             start, finish = simulate_directed(
                 schedule, both.retained, UniformSampler(), rng=run
@@ -153,3 +138,44 @@ def test_elimination_sound_property(seed, pes):
     )
     for g, i in case.dag.real_edges():
         assert finish[g] <= start[i]
+
+
+def nx_structural_syncs(schedule: Schedule) -> set:
+    """Reference: the cross-processor edges that survive networkx's
+    transitive reduction of DAG edges plus program-order chains."""
+    dag = schedule.dag
+    graph = nx.DiGraph()
+    graph.add_nodes_from(dag.real_nodes)
+    graph.add_edges_from(dag.real_edges())
+    for pe in range(schedule.n_pes):
+        chain = schedule.instructions_on(pe)
+        graph.add_edges_from(zip(chain, chain[1:]))
+    reduced = nx.transitive_reduction(graph)
+    return {
+        (g, i)
+        for g, i in dag.real_edges()
+        if schedule.processor_of(g) != schedule.processor_of(i)
+        and reduced.has_edge(g, i)
+    }
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 3000), pes=st.integers(2, 8))
+def test_structural_syncs_match_networkx_reduction(seed, pes):
+    case = compile_case(GeneratorConfig(n_statements=40, n_variables=8), seed)
+    schedule = schedule_dag(case.dag, SchedulerConfig(n_pes=pes, seed=seed)).schedule
+    assert structural_syncs(schedule) == nx_structural_syncs(schedule)
+
+
+def test_syncelim_reduces_once_per_case(monkeypatch):
+    structural = syncelim_exp.structural_syncs
+    calls = []
+
+    def counted(schedule):
+        calls.append(schedule)
+        return structural(schedule)
+
+    monkeypatch.setattr(syncelim_exp, "structural_syncs", counted)
+    stats = syncelim_exp.sync_elimination_experiment(count=3, n_statements=20)
+    assert len(calls) == stats.n_benchmarks == 3
+    assert stats.mean_combined <= stats.mean_structural <= stats.mean_naive

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.core.scheduler import SchedulerConfig, schedule_dag
-from repro.faults import FaultPlan, run_campaign
+from repro.faults import FaultPlan, campaign_digest, run_campaign
+from repro.obs.metrics import collect_metrics
 from repro.synth.corpus import compile_case
 from repro.synth.generator import GeneratorConfig
 
@@ -89,6 +90,23 @@ class TestCampaignMechanics:
         )
         assert report.n_directed == 0
         assert report.n_random == 5
+
+    def test_parallel_campaign_keeps_worker_metrics(self):
+        # Worker-side engine counters fold back into the caller's
+        # registry, so jobs=2 records exactly what jobs=1 does.
+        schedule = scheduled()
+        plan = FaultPlan(epsilon=0.25)
+        reports, recorded = [], []
+        for jobs in (1, 2):
+            with collect_metrics() as metrics:
+                reports.append(
+                    run_campaign(schedule, "sbm", plan, runs=8, seed=0, jobs=jobs)
+                )
+            recorded.append(metrics.as_dict())
+        assert recorded[0]["counters"]["engine.barrier_releases"] > 0
+        assert recorded[0] == recorded[1]
+        assert reports[0] == reports[1]
+        assert campaign_digest(reports[0]) == campaign_digest(reports[1])
 
     def test_unknown_machine_rejected(self):
         with pytest.raises(ValueError):

@@ -5,8 +5,9 @@ import pytest
 from repro.timing import Interval
 from repro.core.scheduler import SchedulerConfig, schedule_dag
 from repro.ir.dag import InstructionDAG
+from repro.machine import mimd
 from repro.machine.mimd import directed_sync_counts, simulate_conventional_mimd
-from repro.machine.durations import MaxSampler
+from repro.machine.durations import MaxSampler, MinSampler
 from repro.machine.vliw import vliw_schedule
 from repro.synth.corpus import compile_case
 from repro.synth.generator import GeneratorConfig
@@ -118,6 +119,44 @@ class TestConventionalMimd:
         )
         assert slow.makespan >= fast.makespan
 
+    @pytest.mark.parametrize(
+        "sampler, sync_latency, makespan",
+        [
+            (MinSampler(), 0, 38),
+            (MinSampler(), 2, 48),
+            (MaxSampler(), 0, 49),
+            (MaxSampler(), 2, 59),
+        ],
+    )
+    def test_deterministic_corners_pinned(
+        self, scheduled, sampler, sync_latency, makespan
+    ):
+        """Values of the networkx-based model this one replaced: under a
+        deterministic sampler the draw order cannot matter, so the
+        executions must agree exactly."""
+        _case, result = scheduled
+        sim = simulate_conventional_mimd(
+            result.schedule, sampler, rng=0, sync_latency=sync_latency
+        )
+        assert (sim.makespan, sim.n_cross_edges, sim.n_after_reduction) == (
+            makespan,
+            38,
+            29,
+        )
+
+    def test_reduces_once_per_call(self, scheduled, monkeypatch):
+        _case, result = scheduled
+        structural = mimd.structural_syncs
+        calls = []
+
+        def counted(schedule):
+            calls.append(schedule)
+            return structural(schedule)
+
+        monkeypatch.setattr(mimd, "structural_syncs", counted)
+        simulate_conventional_mimd(result.schedule, MaxSampler())
+        assert len(calls) == 1
+
     def test_reduction_ratio(self, scheduled):
         _case, result = scheduled
         sim = simulate_conventional_mimd(result.schedule, rng=1)
@@ -128,3 +167,4 @@ class TestConventionalMimd:
         result = schedule_dag(dag, SchedulerConfig(n_pes=1))
         sim = simulate_conventional_mimd(result.schedule)
         assert sim.n_cross_edges == 0 and sim.reduction_ratio == 0.0
+
