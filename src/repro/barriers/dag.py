@@ -22,15 +22,12 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from repro.barriers.model import Barrier
 from repro.obs.metrics import current_registry
 from repro.obs.spans import span
 from repro.timing import Interval, ZERO
-
-if TYPE_CHECKING:  # imported by to_networkx, off the start-up path
-    import networkx as nx
 
 __all__ = ["BarrierEdge", "BarrierDag"]
 
@@ -480,18 +477,6 @@ class BarrierDag:
                 if cand > best.get(s, -1):
                     best[s] = cand
         return best.get(v)
-
-    # -- interoperability -----------------------------------------------------------
-
-    def to_networkx(self) -> "nx.DiGraph":
-        import networkx as nx
-
-        graph = nx.DiGraph()
-        for bid in self._topo:
-            graph.add_node(bid, barrier=self._barriers[bid])
-        for (u, v), w in self._weight.items():
-            graph.add_edge(u, v, weight=w)
-        return graph
 
     def render(self) -> str:
         """Debug listing: each barrier with its successors and weights."""

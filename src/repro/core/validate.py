@@ -13,11 +13,17 @@ barrier dag:
 * every cross-processor edge is discharged structurally (PathFind) or by
   the conservative/optimal timing proof.
 
-If a violation is ever found (counter exposed; observed 0 across the
-corpus -- see EXPERIMENTS.md), :func:`repair_schedule` inserts a plain
-barrier right after the producer / right before the consumer and
-re-validates, which terminates because structurally-discharged edges stay
-discharged.
+Violations do happen: a barrier inserted or merged after an edge's
+timing proof can delay the proven producer.  For each one,
+:func:`repair_schedule` inserts a plain barrier right after the producer
+/ right before the consumer and re-validates, which terminates because
+structurally-discharged edges stay discharged.  Each result counts its
+repairs in :attr:`repro.core.scheduler.SyncCounts.repairs`.  At the
+default point (SBM, conservative insertion, 8 PEs, 8 variables, 100
+cases, master seed 1) that is 0.26, 0.50, 0.92 and 1.18 repairs per case
+at 20, 40, 60 and 80 statements (23, 38, 57 and 63 cases repaired).
+Merging is not the only cause: at 50 statements, 20 of 50 cases still
+need a repair with ``merge_barriers=False``.
 """
 
 from __future__ import annotations

@@ -11,12 +11,14 @@ Two performance controls ride on every entry point (see
 ``docs/performance.md``):
 
 ``jobs``
-    Worker-process count for the corpus (``None`` consults the
-    ``REPRO_JOBS`` environment variable, ``0`` means all cores).  The
-    parallel path is *bit-identical* to serial -- the parent draws
-    exactly the serial case seeds and both pool drivers return results
-    in seed order -- and falls back to serial when ``jobs <= 1`` or the
-    platform lacks ``fork``.
+    Worker-process count for a corpus whose consumer only aggregates or
+    digests (``None`` consults the ``REPRO_JOBS`` environment variable,
+    ``0`` means all cores).  :func:`run_point` always qualifies;
+    :func:`run_corpus` does only with ``compact=True``.  The parallel
+    path is *bit-identical* to serial -- the parent draws exactly the
+    serial case seeds and both pool drivers return rows in seed order --
+    and falls back to serial when ``jobs <= 1`` or the platform lacks
+    ``fork``.
 ``cache``
     On-disk memoization of :func:`run_point` results, keyed by the full
     point content and package version (``None`` consults ``REPRO_CACHE``;
@@ -30,23 +32,30 @@ from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
 from repro.core import batchrun
-from repro.core.scheduler import ScheduleResult, SchedulerConfig, schedule_dag
+from repro.core.scheduler import ScheduleResult, SchedulerConfig
 from repro.ir.ops import DEFAULT_TIMING, TimingModel
 from repro.metrics.stats import CorpusStats, aggregate_results
 from repro.obs import progress as obs_progress
 from repro.perf.cache import load_point_stats, resolve_cache, store_point_stats
 from repro.perf.gctune import batched_gc
-from repro.perf.parallel import resolve_batch, resolve_jobs, run_cases_parallel
+from repro.perf.parallel import CompactResult, resolve_jobs, run_cases_parallel
 from repro.perf.shm import run_cases_shm
 from repro.perf.timers import add_to_current, collect_timings, stage
 from repro.synth import genvec
-from repro.synth.corpus import generate_cases
 from repro.synth.generator import GeneratorConfig
 
 __all__ = ["ExperimentPoint", "run_corpus", "run_point", "sweep"]
 
 #: Corpus size per parameter point; the paper uses 100.
 DEFAULT_COUNT = 100
+
+#: Case seeds per serial chunk (vectorized generation + batched
+#: scheduling).  One paper-sized point per chunk: the vectorized draw's
+#: fixed setup amortizes poorly below ~64 seeds, and the padded corpus
+#: tensors are still only a few MB at this size.  A smaller point still
+#: draws and compiles a whole chunk; only its first ``count`` cases are
+#: scheduled.
+CHUNK_SEEDS = 100
 
 
 @dataclass(frozen=True)
@@ -66,33 +75,32 @@ class ExperimentPoint:
 def run_corpus(
     point: ExperimentPoint,
     jobs: int | None = None,
-    batch: int | None = None,
     compact: bool = False,
-) -> list[ScheduleResult]:
+) -> "list[ScheduleResult] | list[CompactResult]":
     """Compile and schedule every benchmark of a point; return the results.
 
     Each case is scheduled with the point's scheduler config, seeded per
     case so random tie-breaking is reproducible yet varies across the
-    corpus.  With ``jobs > 1`` the corpus is dispatched to a process
-    pool; the result list is bit-identical to the serial run.
+    corpus.  The serial loop runs the corpus in chunks of
+    :data:`CHUNK_SEEDS` case seeds: each chunk is compiled by the
+    vectorized generator (:func:`repro.synth.genvec.compile_cases`) and
+    scheduled by the batched driver (:mod:`repro.core.batchrun`) in one
+    pass.  Both fall back to their per-case code paths below their
+    kernel thresholds, so the results are the same either way.
 
-    The serial path runs the corpus in *batches* (``None`` consults
-    ``REPRO_BATCH``; ``1`` disables): each chunk of case seeds is
-    compiled by the vectorized generator and scheduled by the batched
-    driver (:mod:`repro.core.batchrun`) in one pass, bit-identical to
-    the case-at-a-time loop.
-
-    ``compact=True`` allows the zero-copy shared-memory driver
-    (:mod:`repro.perf.shm`) for parallel points: results
-    come back as :class:`~repro.perf.parallel.CompactResult` rows that
-    support aggregation and digests but carry no ``Schedule`` graph.
-    Callers that read ``result.schedule`` or ``result.resolutions``
-    must leave it off.
+    ``compact=True`` lets ``jobs > 1`` fan the corpus out to worker
+    processes: the zero-copy shared-memory driver (:mod:`repro.perf.shm`)
+    where the vectorized generator applies, else the pickling pool
+    (:mod:`repro.perf.parallel`).  Results then come back as
+    :class:`~repro.perf.parallel.CompactResult` rows, which support
+    aggregation and digests but carry no ``Schedule`` graph.  With
+    ``compact=False`` the point runs serially whatever ``jobs`` says, and
+    every result is a full :class:`ScheduleResult`.
     """
     jobs = resolve_jobs(jobs)
-    if jobs > 1:
-        if compact:
-            zero_copy = run_cases_shm(
+    if compact and jobs > 1:
+        for driver in (run_cases_shm, run_cases_parallel):
+            rows = driver(
                 point.generator,
                 point.count,
                 point.master_seed,
@@ -100,60 +108,14 @@ def run_corpus(
                 point.scheduler,
                 jobs,
             )
-            if zero_copy is not None:
-                return zero_copy
-        parallel = run_cases_parallel(
-            point.generator,
-            point.count,
-            point.master_seed,
-            point.timing,
-            point.scheduler,
-            jobs,
-        )
-        if parallel is not None:
-            return parallel
+            if rows is not None:
+                return rows
 
-    batch = resolve_batch(batch)
-    if batch > 1:
-        return _run_corpus_batched(point, batch)
-
-    results: list[ScheduleResult] = []
-    cases = generate_cases(
-        point.generator,
-        point.count,
-        point.master_seed,
-        timing=point.timing,
-    )
-    with batched_gc():
-        while True:
-            with stage("generate"):  # pulls generation + compilation work
-                case = next(cases, None)
-            if case is None:
-                break
-            cfg = point.scheduler.with_(seed=case.seed & 0xFFFFFFFF)
-            with stage("schedule"):
-                results.append(schedule_dag(case.dag, cfg))
-            obs_progress.advance()
-    return results
-
-
-def _run_corpus_batched(
-    point: ExperimentPoint, batch: int
-) -> list[ScheduleResult]:
-    """The serial corpus loop, ``batch`` case seeds at a time.
-
-    Draws the exact case-seed sequence of
-    :func:`repro.synth.corpus.generate_cases` in chunks, compiles each
-    chunk through :func:`repro.synth.genvec.compile_cases` and schedules
-    it through :func:`repro.core.batchrun.schedule_cases` -- both of
-    which fall back to the per-case code paths below their kernel
-    thresholds, so the results are bit-identical either way.
-    """
     results: list[ScheduleResult] = []
     seed_stream = random.Random(point.master_seed)
     with batched_gc():
         while len(results) < point.count:
-            seeds = [seed_stream.getrandbits(48) for _ in range(batch)]
+            seeds = [seed_stream.getrandbits(48) for _ in range(CHUNK_SEEDS)]
             with stage("generate"):
                 cases = genvec.compile_cases(
                     point.generator, seeds, point.timing
@@ -191,7 +153,7 @@ def run_point(
             return cached
     with collect_timings() as timings:
         # Aggregation reads nothing a compact result lacks, so the
-        # zero-copy driver may serve parallel points.
+        # parallel drivers may serve the point.
         stats = aggregate_results(run_corpus(point, jobs=jobs, compact=True))
     # Collectors nest innermost-wins, so an enclosing measurement (e.g.
     # the ``repro-sbm perf`` harness timing a whole sweep) would see none

@@ -13,21 +13,17 @@ and are excluded from the implied-synchronization count.
 The class is deliberately generic: nodes can carry any payload (they carry
 :class:`~repro.ir.tuples.IRTuple` objects when built by
 :meth:`InstructionDAG.from_program`, but examples and tests also build
-DAGs directly from latency tables), and a :func:`to_networkx` view is
-provided for interoperability.
+DAGs directly from latency tables).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Hashable, Iterable, Iterator, Mapping
+from typing import Hashable, Iterable, Iterator, Mapping
 
 from repro.timing import Interval, ZERO
 from repro.ir.ops import TimingModel, DEFAULT_TIMING
 from repro.ir.tuples import IRTuple, TupleProgram
-
-if TYPE_CHECKING:  # imported by to_networkx, off the start-up path
-    import networkx as nx
 
 __all__ = ["NodeId", "ENTRY", "EXIT", "CycleError", "InstructionDAG"]
 
@@ -219,23 +215,6 @@ class InstructionDAG:
         total = sum(self._latency[n].hi for n in self.real_nodes)
         cp = self.critical_path().hi
         return total / cp if cp else 0.0
-
-    # -- interoperability ----------------------------------------------------------
-
-    def to_networkx(self, include_dummies: bool = False) -> "nx.DiGraph":
-        import networkx as nx
-
-        graph = nx.DiGraph()
-        nodes = self._topo if include_dummies else self.real_nodes
-        for node in nodes:
-            graph.add_node(node, latency=self._latency[node], payload=self._payload.get(node))
-        edge_iter = (
-            ((u, v) for u in self._topo for v in self._succs[u])
-            if include_dummies
-            else self.real_edges()
-        )
-        graph.add_edges_from(edge_iter)
-        return graph
 
     def render(self) -> str:
         """Small text rendering for debugging: one line per real node."""

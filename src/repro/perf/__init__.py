@@ -7,8 +7,9 @@ makes that affordable at full scale:
   (generate / schedule / insert / merge / simulate) that the pipeline
   reports through :class:`~repro.metrics.stats.CorpusStats`;
 * :mod:`repro.perf.parallel` -- a process-pool execution mode for
-  :func:`~repro.experiments.sweeps.run_corpus` whose output is
-  bit-identical to the serial run (``--jobs`` / ``REPRO_JOBS``);
+  :func:`~repro.experiments.sweeps.run_corpus` (``compact=True``) whose
+  compact rows are bit-identical to the serial run (``--jobs`` /
+  ``REPRO_JOBS``);
 * :mod:`repro.perf.cache` -- an on-disk content-addressed cache of
   corpus statistics keyed by the experiment point and package version;
 * :mod:`repro.perf.report` -- the ``repro-sbm perf`` harness emitting

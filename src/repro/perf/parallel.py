@@ -1,27 +1,40 @@
 """Process-pool execution of corpus points, bit-identical to serial.
 
 The paper's evaluation schedules 100 benchmarks per parameter point and
-3500+ overall; every case is independent, so the corpus driver fans the
-work out over a pool of worker processes.  Three properties are load
-bearing:
+3500+ overall; every case is independent, so a corpus point whose
+consumer only aggregates or digests (``run_corpus(..., compact=True)``)
+fans the work out over a pool of worker processes.  Four properties are
+load bearing:
 
 **Determinism.**  The serial driver draws one 48-bit case seed per case
 from ``random.Random(master_seed)`` and derives the scheduler seed as
 ``case_seed & 0xFFFFFFFF`` (see
-:func:`repro.synth.corpus.generate_cases`).  The parallel driver draws
-exactly ``count`` seeds of that same sequence in the parent, ships them
-to the workers in :data:`CHUNK_SIZE` slices, and consumes worker
-results in submission order, so the result list *is* the serial list.
-The determinism regression test pins this with :func:`results_digest`.
+:func:`repro.synth.corpus.generate_cases`).  The parallel drivers draw
+exactly ``count`` seeds of that same sequence in the parent
+(:func:`draw_seeds`), ship them to the workers in :data:`CHUNK_SIZE`
+slices, and consume worker results in submission order, so the result
+list holds the serial results in the serial order.  The determinism
+regression test pins this with :func:`results_digest`.
 
-**Graceful fallback.**  ``jobs=1`` or a platform without ``fork``
-falls back to the serial path; callers never have to care.
+**Compact rows home.**  No ``Schedule`` graph crosses a process
+boundary.  Workers return :class:`CompactResult` rows -- counts,
+makespan, processors used and the precomputed :func:`digest_record` --
+which is everything :func:`repro.metrics.stats.aggregate_results` and
+:func:`results_digest` read.  Callers that need full schedules run the
+serial loop.
 
-**One ordered pool.**  Both corpus drivers -- this pickling pool and
-the zero-copy driver of :mod:`repro.perf.shm` -- run their slices
-through :func:`ordered_pool`: one fork pool, a bounded number of
+**Two drivers, one worker body.**  This pickling pool compiles each
+slice of seeds in the worker; the zero-copy driver of
+:mod:`repro.perf.shm` compiles it out of a shared-memory arena.  Both
+hand the compiled slice to :func:`schedule_slice`, and the parent
+rebuilds the rows with :func:`compact_results`.
+
+**One ordered pool.**  Both drivers (and the fault campaign) run their
+slices through :func:`ordered_pool`: one fork pool, a bounded number of
 slices in flight, results in submission order, and one worker wrapper
 that opens the observation collectors and ships their state home.
+``jobs=1`` or a platform without ``fork`` falls back to the serial
+path; callers never have to care.
 """
 
 from __future__ import annotations
@@ -32,13 +45,12 @@ import multiprocessing
 import os
 import random
 from collections import deque
-from contextlib import nullcontext
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
+from dataclasses import astuple, dataclass
 from functools import partial
 from itertools import islice
 from typing import Any, Callable, Iterable, Iterator, Sequence
-
-from dataclasses import dataclass
 
 from repro import kernels
 from repro.core.scheduler import (
@@ -55,7 +67,7 @@ from repro.obs import progress as obs_progress
 from repro.obs.spans import collect_trace, current_tracer
 from repro.perf.gctune import batched_gc
 from repro.perf.timers import add_to_current, collect_timings, stage
-from repro.synth.corpus import compile_case
+from repro.synth.corpus import BenchmarkCase, compile_case
 from repro.synth.generator import GeneratorConfig
 from repro.timing import Interval
 
@@ -63,7 +75,6 @@ __all__ = [
     "CompactResult",
     "digest_record",
     "fork_available",
-    "resolve_batch",
     "resolve_jobs",
     "results_digest",
     "run_cases_parallel",
@@ -75,12 +86,6 @@ CHUNK_SIZE = 8
 #: Tasks in flight per worker; keeps workers fed without queueing the
 #: whole corpus up front.
 CHUNKS_IN_FLIGHT = 2
-
-#: Cases per batched-pipeline chunk (vectorized generation + batched
-#: scheduling kernels).  One paper-sized corpus (count=100) per chunk:
-#: the vectorized draw's fixed setup amortizes poorly below ~64 seeds,
-#: and the padded corpus tensors are still only a few MB at this size.
-DEFAULT_BATCH = 100
 
 
 def resolve_jobs(jobs: int | None = None) -> int:
@@ -103,26 +108,6 @@ def resolve_jobs(jobs: int | None = None) -> int:
     if jobs < 0:
         raise ValueError(f"jobs must be >= 0, got {jobs}")
     return jobs
-
-
-def resolve_batch(batch: int | None = None) -> int:
-    """Resolve the corpus batch size (cases per batched chunk).
-
-    ``None`` consults the ``REPRO_BATCH`` environment variable (absent
-    or empty means :data:`DEFAULT_BATCH`).  ``1`` -- from either source
-    -- disables batching; anything else must be a positive integer.
-    """
-    if batch is None:
-        text = os.environ.get("REPRO_BATCH", "").strip()
-        if not text:
-            return DEFAULT_BATCH
-        try:
-            batch = int(text)
-        except ValueError:
-            raise ValueError(f"REPRO_BATCH must be an integer, got {text!r}")
-    if batch < 1:
-        raise ValueError(f"batch size must be >= 1, got {batch}")
-    return batch
 
 
 def fork_available() -> bool:
@@ -218,21 +203,75 @@ def ordered_pool(
             yield result
 
 
+def draw_seeds(master_seed: int, count: int) -> list[int]:
+    """The first ``count`` case seeds of a corpus: the exact sequence
+    :func:`repro.synth.corpus.generate_cases` draws."""
+    seed_stream = random.Random(master_seed)
+    return [seed_stream.getrandbits(48) for _ in range(count)]
+
+
+def schedule_slice(
+    cases: Sequence[BenchmarkCase], scheduler: SchedulerConfig
+) -> tuple[list[tuple], str]:
+    """Worker body of both parallel drivers: schedule a compiled slice
+    and pack what :class:`CompactResult` carries.
+
+    Returns one ``(counts, makespan lo, makespan hi, processors used)``
+    row per case and the cases' :func:`digest_record` list as one JSON
+    string; :func:`compact_results` rebuilds them in the parent.
+    """
+    rows: list[tuple] = []
+    records: list[dict] = []
+    with stage("schedule"):
+        for case in cases:
+            result = schedule_dag(
+                case.dag, scheduler.with_(seed=case.seed & 0xFFFFFFFF)
+            )
+            rows.append(
+                (
+                    astuple(result.counts),
+                    result.makespan.lo,
+                    result.makespan.hi,
+                    result.schedule.used_processors(),
+                )
+            )
+            records.append(digest_record(result))
+    return rows, json.dumps(records)
+
+
+def compact_results(
+    packed: Iterable[tuple[list[tuple], str]],
+    scheduler: SchedulerConfig,
+    seeds: Sequence[int],
+) -> "list[CompactResult]":
+    """Rebuild :func:`schedule_slice` output, slice by slice in seed
+    order, into one :class:`CompactResult` per case."""
+    results: list[CompactResult] = []
+    for rows, records_json in packed:
+        records = json.loads(records_json)
+        for (counts, lo, hi, used), record in zip(rows, records):
+            seed = seeds[len(results)]
+            results.append(
+                CompactResult(
+                    config=scheduler.with_(seed=seed & 0xFFFFFFFF),
+                    counts=SyncCounts(*counts),
+                    makespan=Interval(lo, hi),
+                    processors_used=used,
+                    record=record,
+                )
+            )
+        obs_progress.advance(len(rows))
+    return results
+
+
 def _run_chunk(
-    payload: tuple[
-        GeneratorConfig, TimingModel, SchedulerConfig, tuple[int, ...]
-    ],
-) -> list[ScheduleResult]:
-    """Worker: compile and schedule one slice of case seeds."""
+    payload: tuple[GeneratorConfig, TimingModel, SchedulerConfig, list[int]],
+) -> tuple[list[tuple], str]:
+    """Pool worker: compile one slice of case seeds, then schedule it."""
     generator, timing, scheduler, seeds = payload
-    out: list[ScheduleResult] = []
-    for seed in seeds:
-        with stage("generate"):
-            case = compile_case(generator, seed, timing)
-        config = scheduler.with_(seed=case.seed & 0xFFFFFFFF)
-        with stage("schedule"):
-            out.append(schedule_dag(case.dag, config))
-    return out
+    with stage("generate"):
+        cases = [compile_case(generator, seed, timing) for seed in seeds]
+    return schedule_slice(cases, scheduler)
 
 
 def run_cases_parallel(
@@ -242,26 +281,23 @@ def run_cases_parallel(
     timing: TimingModel,
     scheduler: SchedulerConfig,
     jobs: int,
-) -> list[ScheduleResult] | None:
+) -> "list[CompactResult] | None":
     """Schedule a corpus point on a process pool; ``None`` means "cannot
     parallelize, use the serial path" (``jobs <= 1`` or no fork).
 
-    The result list is bit-identical to the serial driver's (see the
-    module docstring for why).
+    Workers compile their seeds case by case and ship compact rows
+    home; the rows are the serial results' (see the module docstring).
     """
     if jobs <= 1 or count <= 0 or not fork_available():
         return None
-    seed_stream = random.Random(master_seed)
-    seeds = tuple(seed_stream.getrandbits(48) for _ in range(count))
+    seeds = draw_seeds(master_seed, count)
     tasks = (
         (generator, timing, scheduler, seeds[lo:hi])
         for lo, hi in chunk_bounds(count)
     )
-    results: list[ScheduleResult] = []
-    for chunk in ordered_pool(_run_chunk, tasks, jobs):
-        results.extend(chunk)
-        obs_progress.advance(len(chunk))
-    return results
+    return compact_results(
+        ordered_pool(_run_chunk, tasks, jobs), scheduler, seeds
+    )
 
 
 class _CompactSchedule:
@@ -280,9 +316,9 @@ class _CompactSchedule:
 class CompactResult:
     """A :class:`ScheduleResult` reduced to what reductions read.
 
-    The zero-copy driver (:mod:`repro.perf.shm`) ships these back from
-    its workers instead of pickling whole ``Schedule`` object graphs:
-    the counts, makespan, processor usage, and the precomputed
+    Both parallel drivers ship these back from their workers instead
+    of pickling whole ``Schedule`` object graphs: the counts, makespan,
+    processor usage, and the precomputed
     :func:`digest_record` -- everything
     :func:`repro.metrics.stats.aggregate_results` and
     :func:`results_digest` consume, nothing else.
@@ -304,7 +340,7 @@ def digest_record(result: "ScheduleResult | CompactResult") -> dict:
 
     Compact results carry theirs precomputed (by this same function, in
     the worker that still held the full result), so serial and
-    zero-copy digests agree byte for byte.
+    parallel digests agree byte for byte.
     """
     if isinstance(result, CompactResult):
         return result.record

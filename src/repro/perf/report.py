@@ -258,7 +258,9 @@ def run_perf_report(
     (:data:`PRESET_COUNTS`); ``values`` overrides the *first* sweep
     leg's axis values (the historical ``default``-preset knob).  The
     simulation pass runs on the first leg's base point, so the
-    ``scale1024`` preset simulates (and digests) at 1024 PEs.
+    ``scale1024`` preset simulates (and digests) at 1024 PEs.  ``jobs``
+    fans out the sweep points only: the simulation pass reads full
+    schedules, which never cross a process boundary, so it runs serially.
     """
     from repro.experiments.sweeps import (
         ExperimentPoint,
@@ -315,7 +317,7 @@ def run_perf_report(
             ):
                 swept.append((axis, value, stats))
             leg_walls.append(time.perf_counter() - leg_start)
-        sim_results = run_corpus(sim_base.with_(count=sim_count), jobs=jobs)
+        sim_results = run_corpus(sim_base.with_(count=sim_count))
         for result in sim_results:
             program = MachineProgram.from_schedule(result.schedule)
             trace = simulate_sbm(program, rng=master_seed)

@@ -1,10 +1,10 @@
 """Zero-copy parallel corpus driver over shared-memory arenas.
 
-The pickling pool (:mod:`repro.perf.parallel`) ships case seeds out
-and whole ``ScheduleResult`` object graphs back -- every schedule's
-streams, barriers, DAG, and caches cross the process boundary as a
-pickle.  This driver removes both copies for corpus points whose
-consumers only aggregate:
+The pickling pool (:func:`repro.perf.parallel.run_cases_parallel`)
+ships case seeds out and has every worker run the python generator on
+its slice.  For generator configs the vectorized path covers, this
+driver moves generation into one parent-side pass and shares its
+output without pickling it:
 
 * **Input.**  The parent draws the *entire* corpus in one vectorized
   pass (:func:`repro.synth.genvec.draw_corpus`) and places the drawn
@@ -14,14 +14,11 @@ consumers only aggregate:
   (:func:`repro.synth.genvec.compile_drawn_cases`); no case data is
   pickled.
 
-* **Output.**  Workers schedule their slice and return *compact
-  arrays*: one ``(cases, 11)`` counts matrix, a ``(cases, 2)`` makespan
-  matrix, a processors-used vector, and the JSON digest records --
-  everything :func:`repro.metrics.stats.aggregate_results` and
-  :func:`repro.perf.parallel.results_digest` read, a few hundred bytes
-  per case instead of a multi-kilobyte schedule pickle.  The parent
-  reassembles them into
-  :class:`~repro.perf.parallel.CompactResult` rows.
+* **Output.**  Workers hand the compiled slice to the worker body both
+  drivers share, :func:`repro.perf.parallel.schedule_slice`, and ship
+  its compact rows home; the parent rebuilds them into
+  :class:`~repro.perf.parallel.CompactResult` rows with
+  :func:`~repro.perf.parallel.compact_results`.
 
 Bit-identity holds because the drawn corpus is exactly the serial
 case-seed sequence, workers run the unmodified compile + schedule code
@@ -34,52 +31,32 @@ handled in one place.
 :func:`run_cases_shm` returns ``None`` whenever it cannot apply --
 ``jobs <= 1``, no ``fork``, a generator config the vectorized path
 does not cover, or a backend/threshold that resolves to python -- and
-callers fall back to the pickling pool or the serial loop.  Consumers
-that need full schedules (the simulation pass, the secondary-effect
-tables) must keep using those paths; only aggregation/digest consumers
-opt in (``run_corpus(..., compact=True)``).
+:func:`repro.experiments.sweeps.run_corpus` falls back to the pickling
+pool.
 """
 
 from __future__ import annotations
 
-import json
-import random
 from multiprocessing import shared_memory
 
 from repro import kernels
-from repro.core.scheduler import SchedulerConfig, SyncCounts, schedule_dag
+from repro.core.scheduler import SchedulerConfig
 from repro.ir.ops import TimingModel
 from repro.obs import prof as obs_prof
-from repro.obs import progress as obs_progress
 from repro.perf.parallel import (
     CompactResult,
     chunk_bounds,
-    digest_record,
+    compact_results,
+    draw_seeds,
     fork_available,
     ordered_pool,
+    schedule_slice,
 )
 from repro.perf.timers import stage
 from repro.synth import genvec
 from repro.synth.generator import GeneratorConfig
-from repro.timing import Interval
 
 __all__ = ["CorpusArena", "run_cases_shm"]
-
-#: Field order of the packed counts rows (== ``SyncCounts`` fields).
-_COUNT_FIELDS = (
-    "total_edges",
-    "serialized_edges",
-    "path_edges",
-    "timing_edges",
-    "barrier_edges",
-    "barriers_final",
-    "merges",
-    "secondary_resolutions",
-    "optimal_rescues",
-    "repairs",
-    "path_explosions",
-)
-
 
 class CorpusArena:
     """A drawn corpus's arrays in named shared-memory blocks.
@@ -154,15 +131,13 @@ def _run_shm_chunk(
     payload: tuple[
         dict, GeneratorConfig, TimingModel, SchedulerConfig, int, int
     ],
-):
-    """Worker: compile and schedule ``[lo, hi)`` out of the arena.
+) -> tuple[list[tuple], str]:
+    """Worker: compile ``[lo, hi)`` out of the arena, then schedule it.
 
     ``payload`` is ``(arena manifest, generator, timing, scheduler, lo,
-    hi)``; returns ``(counts, makespans, processors, records_json)``
-    compact arrays.
+    hi)``; returns the :func:`~repro.perf.parallel.schedule_slice` rows.
     """
     manifest, generator, timing, scheduler, lo, hi = payload
-    np = kernels.numpy()
     arena, arrays = CorpusArena.attach(manifest)
     try:
         sliced = {name: arr[lo:hi] for name, arr in arrays.items()}
@@ -172,20 +147,7 @@ def _run_shm_chunk(
     finally:
         # from_arrays copied the slice out; no views outlive the attach.
         arena.close()
-    n = len(cases)
-    counts = np.empty((n, len(_COUNT_FIELDS)), dtype=np.int64)
-    makespans = np.empty((n, 2), dtype=np.int64)
-    processors = np.empty(n, dtype=np.int64)
-    records = []
-    with stage("schedule"):
-        for k, case in enumerate(cases):
-            config = scheduler.with_(seed=case.seed & 0xFFFFFFFF)
-            result = schedule_dag(case.dag, config)
-            counts[k] = [getattr(result.counts, f) for f in _COUNT_FIELDS]
-            makespans[k] = (result.makespan.lo, result.makespan.hi)
-            processors[k] = result.schedule.used_processors()
-            records.append(digest_record(result))
-    return counts, makespans, processors, json.dumps(records)
+    return schedule_slice(cases, scheduler)
 
 
 def run_cases_shm(
@@ -200,7 +162,7 @@ def run_cases_shm(
 
     Returns compact results in the exact serial case order, or ``None``
     when the driver cannot apply (see the module docstring); callers
-    then fall back to the pickling pool / serial loop.
+    then fall back to the pickling pool.
     """
     if jobs <= 1 or count <= 0 or not fork_available():
         return None
@@ -209,36 +171,17 @@ def run_cases_shm(
     if not kernels.use_numpy("genvec", count):
         return None
 
-    seed_stream = random.Random(master_seed)
-    seeds = [seed_stream.getrandbits(48) for _ in range(count)]
+    seeds = draw_seeds(master_seed, count)
     with stage("generate"):  # the parent's share: the vectorized draws
         drawn = genvec.draw_corpus(generator, seeds)
         arena = CorpusArena.create(drawn.arrays())
-
-    results: list[CompactResult] = []
     tasks = (
         (arena.manifest, generator, timing, scheduler, lo, hi)
         for lo, hi in chunk_bounds(count)
     )
     try:
-        for counts, makespans, processors, records_json in ordered_pool(
-            _run_shm_chunk, tasks, jobs
-        ):
-            records = json.loads(records_json)
-            base = len(results)
-            for k, record in enumerate(records):
-                results.append(
-                    CompactResult(
-                        config=scheduler.with_(
-                            seed=seeds[base + k] & 0xFFFFFFFF
-                        ),
-                        counts=SyncCounts(*counts[k].tolist()),
-                        makespan=Interval(*makespans[k].tolist()),
-                        processors_used=int(processors[k]),
-                        record=record,
-                    )
-                )
-            obs_progress.advance(len(records))
+        return compact_results(
+            ordered_pool(_run_shm_chunk, tasks, jobs), scheduler, seeds
+        )
     finally:
         arena.destroy()
-    return results

@@ -122,11 +122,6 @@ class TestLongestPaths:
 
 
 class TestInterop:
-    def test_to_networkx(self):
-        graph = make_dag(FIG13_EDGES).to_networkx()
-        assert graph.number_of_nodes() == 3
-        assert graph.edges[(0, 1)]["weight"] == Interval(5, 7)
-
     def test_render_mentions_barriers(self):
         text = make_dag(FIG13_EDGES).render()
         assert "b0" in text and "fire" in text

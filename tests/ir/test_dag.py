@@ -1,6 +1,5 @@
 """Tests for the instruction DAG: construction, levels, critical path."""
 
-import networkx as nx
 import pytest
 
 from repro.timing import Interval
@@ -115,18 +114,6 @@ class TestLevels:
 
 
 class TestInterop:
-    def test_to_networkx(self):
-        dag = diamond_dag()
-        graph = dag.to_networkx()
-        assert set(graph.nodes) == {"a", "b", "c", "d"}
-        assert graph.number_of_edges() == 4
-        assert nx.is_directed_acyclic_graph(graph)
-
-    def test_to_networkx_with_dummies(self):
-        dag = diamond_dag()
-        graph = dag.to_networkx(include_dummies=True)
-        assert ENTRY in graph.nodes and EXIT in graph.nodes
-
     def test_render_contains_nodes(self):
         text = compile_source("a = x + y").render()
         assert "Load" in text and "Store" in text

@@ -161,7 +161,6 @@ class TestDigestParity:
         # vectorized step-[2] scan must draw identical tie-break choices.
         pytest.importorskip("numpy")
         monkeypatch.delenv("REPRO_CHECK_KERNELS", raising=False)
-        monkeypatch.delenv("REPRO_BATCH", raising=False)
         monkeypatch.setenv("REPRO_BACKEND", "python")
         baseline = corpus_digest(n_pes=128, n_statements=40, count=16)
         monkeypatch.setenv("REPRO_BACKEND", "numpy")

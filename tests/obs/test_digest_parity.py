@@ -3,7 +3,10 @@ standard 100-block corpus with tracing off, on, and under worker
 parallelism.  This is the tentpole invariant of ``repro.obs`` -- every
 recording entry point is observation-only, so the ``results_digest``
 (summaries, list orders, every edge resolution) is bit-identical no
-matter which collectors are active."""
+matter which collectors are active.  Parallel runs go through both
+drivers: ``REPRO_BACKEND=python`` selects the pickling pool and
+``REPRO_BACKEND=numpy`` the zero-copy arena, each with
+``compact=True``."""
 
 from __future__ import annotations
 
@@ -34,6 +37,19 @@ POINT = ExperimentPoint(
     master_seed=0,
 )
 
+#: (driver, REPRO_BACKEND) for each parallel driver this host can run.
+DRIVERS = [("pool", "python")] + (
+    [("shm", "numpy")] if kernels.have_numpy() else []
+)
+
+
+def run_parallel(monkeypatch, backend):
+    """``POINT`` on two workers through the driver ``backend`` selects."""
+    monkeypatch.setenv("REPRO_BACKEND", backend)
+    results = run_corpus(POINT, jobs=2, compact=True)
+    assert all(isinstance(r, CompactResult) for r in results), backend
+    return results
+
 
 @pytest.fixture(scope="module")
 def baseline_digest():
@@ -51,18 +67,22 @@ class TestDigestParity:
         assert m.counter("scheduler.barriers_inserted") > 0
 
     @needs_fork
-    def test_parallel_matches_serial(self, baseline_digest):
-        digest = results_digest(run_corpus(POINT, jobs=2))
-        assert digest == baseline_digest
+    def test_parallel_matches_serial(self, monkeypatch, baseline_digest):
+        for driver, backend in DRIVERS:
+            digest = results_digest(run_parallel(monkeypatch, backend))
+            assert digest == baseline_digest, driver
 
     @needs_fork
-    def test_traced_parallel_matches_untraced_serial(self, baseline_digest):
-        with collect_trace() as tracer, obs_metrics.collect_metrics() as m:
-            digest = results_digest(run_corpus(POINT, jobs=2))
-        assert digest == baseline_digest
-        pids = {s.pid for s in tracer.spans}
-        assert len(pids) >= 2, "worker spans must be adopted by the parent"
-        assert m.counter("scheduler.barriers_inserted") > 0
+    def test_traced_parallel_matches_untraced_serial(
+        self, monkeypatch, baseline_digest
+    ):
+        for driver, backend in DRIVERS:
+            with collect_trace() as tracer, obs_metrics.collect_metrics() as m:
+                digest = results_digest(run_parallel(monkeypatch, backend))
+            assert digest == baseline_digest, driver
+            pids = {s.pid for s in tracer.spans}
+            assert len(pids) >= 2, f"{driver}: worker spans must be adopted"
+            assert m.counter("scheduler.barriers_inserted") > 0, driver
 
     def test_trace_analysis_preserves_digest(self, baseline_digest):
         """Runtime trace analysis is observation-only: analyzing every
@@ -117,13 +137,16 @@ class TestDigestParity:
         assert meter.done == POINT.count
 
     @needs_fork
-    def test_profiled_parallel_matches_unprofiled_serial(self, baseline_digest):
+    def test_profiled_parallel_matches_unprofiled_serial(
+        self, monkeypatch, baseline_digest
+    ):
         from repro.obs.prof import collect_profile
 
-        with collect_profile() as prof:
-            digest = results_digest(run_corpus(POINT, jobs=2))
-        assert digest == baseline_digest
-        assert prof.kernels, "worker profiles must ship home"
+        for driver, backend in DRIVERS:
+            with collect_profile() as prof:
+                digest = results_digest(run_parallel(monkeypatch, backend))
+            assert digest == baseline_digest, driver
+            assert prof.kernels, f"{driver}: worker profiles must ship home"
 
     @needs_fork
     def test_worker_metrics_cover_serial_metrics(self, monkeypatch):
@@ -134,18 +157,9 @@ class TestDigestParity:
         wasted work is counted."""
         with obs_metrics.collect_metrics() as serial:
             run_corpus(POINT, jobs=1)
-        drivers = [("pool", None, False)]
-        if kernels.have_numpy():  # the zero-copy driver needs genvec
-            drivers.append(("shm", "numpy", True))
-        for driver, backend, compact in drivers:
-            with monkeypatch.context() as patch:
-                if backend is not None:
-                    patch.setenv("REPRO_BACKEND", backend)
-                with obs_metrics.collect_metrics() as parallel:
-                    results = run_corpus(POINT, jobs=2, compact=compact)
-            assert (
-                any(isinstance(r, CompactResult) for r in results) == compact
-            ), driver
+        for driver, backend in DRIVERS:
+            with obs_metrics.collect_metrics() as parallel:
+                run_parallel(monkeypatch, backend)
             for name in (
                 "scheduler.barriers_inserted",
                 "scheduler.resolution.barrier",

@@ -233,11 +233,13 @@ class TestWorkerProfileShipping:
     """Pool and shm workers ship their profiles home; the parent's
     totals cover the serial run's regardless of completion order."""
 
-    def test_pool_workers_ship_profiles(self):
+    def test_pool_workers_ship_profiles(self, monkeypatch):
         with collect_profile() as serial:
             run_corpus(POINT, jobs=1)
+        monkeypatch.setenv("REPRO_BACKEND", "python")  # the pickling pool
         with collect_profile() as parallel:
-            run_corpus(POINT, jobs=2)
+            results = run_corpus(POINT, jobs=2, compact=True)
+        assert all(isinstance(r, CompactResult) for r in results)
         assert parallel.kernels, "worker profiles must be folded into parent"
         # Chunking changes how many times each kernel dispatches (one
         # batch call per chunk, thresholds per chunk size), so exact
@@ -247,7 +249,10 @@ class TestWorkerProfileShipping:
         assert sum(s.count for s in serial.kernels.values()) > 0
         assert set(parallel.kernels) & set(serial.kernels)
 
-    def test_shm_workers_ship_profiles(self):
+    def test_shm_workers_ship_profiles(self, monkeypatch):
+        if not kernels.have_numpy():
+            pytest.skip("the zero-copy driver needs numpy")
+        monkeypatch.setenv("REPRO_BACKEND", "numpy")
         point = POINT.with_(count=16)
         with collect_profile() as prof:
             run_corpus(point, jobs=2, compact=True)
@@ -295,20 +300,17 @@ class TestFoldedStacks:
 
     @needs_fork
     def test_worker_spans_prefixed(self, monkeypatch):
-        """Both pool drivers ship worker spans home: the pickling pool,
-        and the zero-copy driver (numpy, ``compact=True``)."""
-        drivers = [("pool", POINT, None, False)]
+        """Both pool drivers ship worker spans home: the pickling pool
+        (python backend) and the zero-copy driver (numpy backend)."""
+        drivers = [("pool", "python")]
         if kernels.have_numpy():
-            drivers.append(("shm", POINT.with_(count=16), "numpy", True))
-        for driver, point, backend, compact in drivers:
+            drivers.append(("shm", "numpy"))
+        for driver, backend in drivers:
             with monkeypatch.context() as patch:
-                if backend is not None:
-                    patch.setenv("REPRO_BACKEND", backend)
+                patch.setenv("REPRO_BACKEND", backend)
                 with collect_trace() as tracer:
-                    results = run_corpus(point, jobs=2, compact=compact)
-            assert (
-                any(isinstance(r, CompactResult) for r in results) == compact
-            ), driver
+                    results = run_corpus(POINT, jobs=2, compact=True)
+            assert all(isinstance(r, CompactResult) for r in results), driver
             lines = folded_stacks(tracer)
             assert any(line.startswith("worker:") for line in lines), (
                 f"{driver}: adopted worker spans must be distinguishable "

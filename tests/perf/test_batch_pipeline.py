@@ -1,29 +1,29 @@
 """The batched corpus pipeline: digest parity and padded-tensor edges.
 
 The batched path -- vectorized generation (:mod:`repro.synth.genvec`),
-lockstep scheduling (:mod:`repro.core.batchrun`), and the zero-copy
-shared-memory driver (:mod:`repro.perf.shm`) -- must be *bit-identical*
-to the case-at-a-time pipeline: the whole matrix of
-``REPRO_BACKEND={python,numpy}`` x batched/unbatched x serial/parallel
-has to land on one ``results_digest``.  The padded 3-D tensors of
-:mod:`repro.kernels.batch` are additionally pinned at the uint64 word
-edges (63/64/65 bits), where an off-by-one in the word count silently
-truncates the widest case.
+lockstep scheduling (:mod:`repro.core.batchrun`), and both parallel
+drivers (the pickling pool and the zero-copy shared-memory driver of
+:mod:`repro.perf.shm`) -- must be *bit-identical* to a plain per-case
+loop of :func:`~repro.synth.corpus.compile_case` and
+:func:`~repro.core.scheduler.schedule_dag`, written out in this file as
+:func:`reference_results`.  Every ``REPRO_BACKEND={python,numpy}`` x
+serial/parallel run has to land on that loop's ``results_digest``.  The
+padded 3-D tensors of :mod:`repro.kernels.batch` are additionally pinned
+at the uint64 word edges (63/64/65 bits), where an off-by-one in the
+word count silently truncates the widest case.
 """
 
 from __future__ import annotations
+
+import random
 
 import pytest
 
 from repro import kernels
 from repro.core.scheduler import SchedulerConfig, schedule_dag
 from repro.experiments.sweeps import ExperimentPoint, run_corpus
-from repro.perf.parallel import (
-    CompactResult,
-    fork_available,
-    resolve_batch,
-    results_digest,
-)
+from repro.perf.parallel import CompactResult, fork_available, results_digest
+from repro.synth.corpus import compile_case
 from repro.synth.generator import GeneratorConfig
 
 needs_fork = pytest.mark.skipif(
@@ -46,52 +46,46 @@ def batch_point(**kw):
     return ExperimentPoint(**defaults)
 
 
-class TestResolveBatch:
-    def test_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BATCH", raising=False)
-        assert resolve_batch(None) == 100
-
-    def test_env_variable(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH", "7")
-        assert resolve_batch(None) == 7
-
-    def test_explicit_overrides_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH", "7")
-        assert resolve_batch(3) == 3
-
-    def test_one_is_valid(self):
-        assert resolve_batch(1) == 1
-
-    @pytest.mark.parametrize("bad", ["0", "-4", "x", "2.5"])
-    def test_bad_env_values(self, monkeypatch, bad):
-        monkeypatch.setenv("REPRO_BATCH", bad)
-        with pytest.raises(ValueError):
-            resolve_batch(None)
-
-    def test_nonpositive_rejected(self):
-        with pytest.raises(ValueError):
-            resolve_batch(0)
+def reference_results(point):
+    """The per-case loop every corpus driver must reproduce: one 48-bit
+    case seed per case from ``random.Random(master_seed)``, compiled
+    with ``compile_case`` and scheduled with ``schedule_dag`` under the
+    seed's low 32 bits."""
+    seed_stream = random.Random(point.master_seed)
+    results = []
+    for _ in range(point.count):
+        case = compile_case(
+            point.generator, seed_stream.getrandbits(48), point.timing
+        )
+        config = point.scheduler.with_(seed=case.seed & 0xFFFFFFFF)
+        results.append(schedule_dag(case.dag, config))
+    return results
 
 
 class TestDigestParityMatrix:
-    """One digest across backend x batched/unbatched x serial/parallel."""
+    """One digest across backend x serial/parallel, pinned to the
+    per-case reference loop."""
 
     @pytest.mark.parametrize("backend", ["python", "numpy"])
     def test_batched_vs_unbatched(self, monkeypatch, backend):
         monkeypatch.setenv("REPRO_BACKEND", backend)
         point = batch_point()
-        unbatched = results_digest(run_corpus(point, jobs=1, batch=1))
-        batched = results_digest(run_corpus(point, jobs=1, batch=8))
+        unbatched = results_digest(reference_results(point))
+        batched = results_digest(run_corpus(point, jobs=1))
         assert unbatched == batched
 
     @needs_fork
     @pytest.mark.parametrize("backend", ["python", "numpy"])
     def test_parallel_matches_batched_serial(self, monkeypatch, backend):
+        """``python`` drives the pickling pool, ``numpy`` the arena."""
         monkeypatch.setenv("REPRO_BACKEND", backend)
         point = batch_point()
-        serial = results_digest(run_corpus(point, jobs=1, batch=8))
-        parallel = results_digest(run_corpus(point, jobs=2, batch=1))
-        assert serial == parallel
+        reference = results_digest(reference_results(point))
+        serial = run_corpus(point, jobs=1)
+        parallel = run_corpus(point, jobs=2, compact=True)
+        assert all(isinstance(r, CompactResult) for r in parallel)
+        assert results_digest(serial) == reference
+        assert results_digest(parallel) == reference
 
     @needs_numpy
     def test_check_mode_batched(self, monkeypatch):
@@ -99,18 +93,18 @@ class TestDigestParityMatrix:
         monkeypatch.setenv("REPRO_CHECK_KERNELS", "1")
         monkeypatch.delenv("REPRO_BACKEND", raising=False)
         point = batch_point(count=6)
-        batched = results_digest(run_corpus(point, jobs=1, batch=6))
+        batched = results_digest(run_corpus(point, jobs=1))
         monkeypatch.delenv("REPRO_CHECK_KERNELS", raising=False)
         monkeypatch.setenv("REPRO_BACKEND", "python")
-        assert batched == results_digest(run_corpus(point, jobs=1, batch=1))
+        assert batched == results_digest(reference_results(point))
 
 
 class TestBatchedScheduling:
     @needs_numpy
     def test_schedule_cases_matches_schedule_dag(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "numpy")
+        """On either backend and under kernel cross-checks, the batched
+        driver schedules exactly what ``schedule_dag`` does per case."""
         from repro.core.batchrun import schedule_cases
-        from repro.synth.corpus import compile_case
 
         generator = GeneratorConfig(n_statements=30, n_variables=8)
         cases = [compile_case(generator, seed) for seed in range(40)]
@@ -118,19 +112,30 @@ class TestBatchedScheduling:
             SchedulerConfig(n_pes=16, seed=case.seed & 0xFFFFFFFF)
             for case in cases
         ]
-        serial = [
-            schedule_dag(case.dag, config)
-            for case, config in zip(cases, configs)
-        ]
-        batched = schedule_cases([case.dag for case in cases], configs)
-        assert results_digest(serial) == results_digest(batched)
+        serial = results_digest(
+            [
+                schedule_dag(case.dag, config)
+                for case, config in zip(cases, configs)
+            ]
+        )
+        for env in (
+            {"REPRO_BACKEND": "python"},
+            {"REPRO_BACKEND": "numpy"},
+            {"REPRO_CHECK_KERNELS": "1"},
+        ):
+            with monkeypatch.context() as patch:
+                patch.delenv("REPRO_BACKEND", raising=False)
+                patch.delenv("REPRO_CHECK_KERNELS", raising=False)
+                for name, value in env.items():
+                    patch.setenv(name, value)
+                batched = schedule_cases([case.dag for case in cases], configs)
+            assert results_digest(batched) == serial, env
 
     def test_small_chunk_falls_back_to_python(self, monkeypatch):
         """Below the batch threshold the per-case scheduler runs."""
         monkeypatch.delenv("REPRO_BACKEND", raising=False)
         monkeypatch.delenv("REPRO_CHECK_KERNELS", raising=False)
         from repro.core.batchrun import schedule_cases
-        from repro.synth.corpus import compile_case
 
         case = compile_case(GeneratorConfig(), 5)
         config = SchedulerConfig(n_pes=4)
@@ -216,8 +221,8 @@ class TestZeroCopyDriver:
         )
         assert compact is not None
         assert all(isinstance(r, CompactResult) for r in compact)
-        serial = run_corpus(point, jobs=1, batch=1)
-        assert results_digest(compact) == results_digest(serial)
+        reference = reference_results(point)
+        assert results_digest(compact) == results_digest(reference)
 
     def test_aggregation_reads_compact_results(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "numpy")
@@ -248,8 +253,9 @@ class TestZeroCopyDriver:
             )
             is None
         )
-        # ... and run_corpus still serves full results via the pool.
+        # ... and run_corpus still serves compact rows via the pool.
         results = run_corpus(point, jobs=2, compact=True)
+        assert all(isinstance(r, CompactResult) for r in results)
         assert results_digest(results) == results_digest(
             run_corpus(point, jobs=1)
         )

@@ -1,19 +1,24 @@
-"""The parallel corpus driver: jobs resolution and serial/parallel parity.
+"""The parallel corpus drivers: jobs resolution and serial/parallel parity.
 
 The determinism regression here is the load-bearing guarantee of the
 whole performance layer: a seeded corpus scheduled with ``jobs=4`` must
-produce the *identical* ``ScheduleResult`` sequence as the serial loop
-(compared via a stable digest), so parallelization can never silently
-move paper numbers.
+produce compact rows *identical* to the serial ``ScheduleResult``
+sequence (compared via a stable digest), so parallelization can never
+silently move paper numbers.  ``REPRO_BACKEND=python`` drives the
+pickling pool, ``REPRO_BACKEND=numpy`` the zero-copy arena.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.scheduler import SchedulerConfig
+from repro import kernels
+from repro.core.scheduler import ScheduleResult, SchedulerConfig
 from repro.experiments.sweeps import ExperimentPoint, run_corpus, run_point
+from repro.perf import parallel as perf_parallel
+from repro.perf import shm as perf_shm
 from repro.perf.parallel import (
+    CompactResult,
     fork_available,
     resolve_jobs,
     results_digest,
@@ -35,6 +40,30 @@ def small_point(**kw):
     )
     defaults.update(kw)
     return ExperimentPoint(**defaults)
+
+
+#: ``REPRO_BACKEND`` per parallel driver: python keeps the vectorized
+#: generator off, so only the pickling pool applies.
+DRIVER_BACKENDS = ["python"] + (["numpy"] if kernels.have_numpy() else [])
+
+
+def spy_ordered_pool(monkeypatch):
+    """Count ``ordered_pool`` calls from either driver and record the
+    type of everything the workers send home."""
+    calls = {"pools": 0, "shipped": set()}
+    original = perf_parallel.ordered_pool
+
+    def spy(fn, tasks, jobs):
+        calls["pools"] += 1
+        for item in original(fn, tasks, jobs):
+            rows, records_json = item
+            calls["shipped"].add(type(records_json))
+            calls["shipped"].update(type(row) for row in rows)
+            yield item
+
+    monkeypatch.setattr(perf_parallel, "ordered_pool", spy)
+    monkeypatch.setattr(perf_shm, "ordered_pool", spy)
+    return calls
 
 
 class TestResolveJobs:
@@ -65,13 +94,17 @@ class TestResolveJobs:
 
 class TestDeterminism:
     @needs_fork
-    def test_serial_vs_jobs4_identical(self):
-        """The determinism regression: byte-identical result sequences."""
+    def test_serial_vs_jobs4_identical(self, monkeypatch):
+        """The determinism regression: byte-identical result sequences,
+        on the pickling pool and on the zero-copy arena."""
         point = small_point()
         serial = run_corpus(point, jobs=1)
-        parallel = run_corpus(point, jobs=4)
-        assert len(parallel) == point.count
-        assert results_digest(serial) == results_digest(parallel)
+        for backend in DRIVER_BACKENDS:
+            monkeypatch.setenv("REPRO_BACKEND", backend)
+            parallel = run_corpus(point, jobs=4, compact=True)
+            assert len(parallel) == point.count, backend
+            assert all(isinstance(r, CompactResult) for r in parallel)
+            assert results_digest(serial) == results_digest(parallel), backend
 
     @needs_fork
     def test_run_point_stats_match(self):
@@ -102,3 +135,26 @@ class TestFallbacks:
             )
             is None
         )
+
+
+@needs_fork
+class TestNoScheduleCrossesProcesses:
+    def test_full_results_never_pool(self, monkeypatch):
+        """``compact=False`` runs serially whatever ``jobs`` says."""
+        calls = spy_ordered_pool(monkeypatch)
+        point = small_point()
+        results = run_corpus(point, jobs=2)
+        assert calls["pools"] == 0
+        assert all(isinstance(r, ScheduleResult) for r in results)
+        assert results_digest(results) == results_digest(
+            run_corpus(point, jobs=1)
+        )
+
+    @pytest.mark.parametrize("backend", DRIVER_BACKENDS)
+    def test_workers_ship_only_packed_rows(self, monkeypatch, backend):
+        monkeypatch.setenv("REPRO_BACKEND", backend)
+        calls = spy_ordered_pool(monkeypatch)
+        results = run_corpus(small_point(), jobs=2, compact=True)
+        assert calls["pools"] == 1
+        assert calls["shipped"] == {str, tuple}
+        assert all(isinstance(r, CompactResult) for r in results)
